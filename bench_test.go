@@ -551,6 +551,60 @@ func BenchmarkE13TenantServing(b *testing.B) {
 	<-done
 }
 
+// BenchmarkE14PersonalizedSolve measures the document-layer reuse path
+// on a plain engine (no index, no coalescing): every query asks for the
+// top 10 under its own site-personalization vector, so each one solves
+// the site layer and composes over the snapshot's cached local DocRanks
+// (filled by the warm-up query) instead of re-solving every site.
+func BenchmarkE14PersonalizedSolve(b *testing.B) {
+	ctx := context.Background()
+	dg := benchWeb().Graph
+	eng, err := NewLocalEngine(dg, EngineOptions{Parallelism: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ns := dg.NumSites()
+	profiles := make([]Vector, 16)
+	for p := range profiles {
+		v := make(Vector, ns)
+		for i := range v {
+			v[i] = 1 + float64((i*(p+3))%11)
+		}
+		profiles[p] = v.Normalize()
+	}
+	if _, err := eng.Rank(ctx, Query{TopK: 10}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := Query{TopK: 10, SitePersonalization: profiles[i%len(profiles)]}
+		if _, err := eng.Rank(ctx, q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTopDocs measures the top-10 selection over a composed
+// DocRank of the bench web: one O(N·log k) heap pass plus a sort of the
+// k survivors.
+func BenchmarkTopDocs(b *testing.B) {
+	dg := benchWeb().Graph
+	res, err := LayeredDocRank(dg, WebConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		topDocsSink = TopDocs(dg, res.DocRank, 10)
+	}
+}
+
+// topDocsSink keeps BenchmarkTopDocs' result live so the call is not
+// optimized away.
+var topDocsSink []DocScore
+
 // BenchmarkBaselines times the comparison algorithms on the same web:
 // BlockRank (the closest prior work) and HITS (the other baseline the
 // paper reviews).

@@ -81,7 +81,7 @@
 // implemented as multi-version snapshot serving:
 //
 //   - Snapshot semantics: an engine's whole serving state — graph,
-//     precomputed cores, warm seeds — lives behind one atomic pointer
+//     precomputed cores, document layer — lives behind one atomic pointer
 //     to an immutable snapshot. Update applies GraphDelta.Apply to a
 //     copy-on-write clone of the graph (clean sites share their
 //     adjacency with the old graph by pointer), rebuilds off to the
@@ -100,8 +100,9 @@
 //   - ChangedSites is the caller's contract: it must list every site
 //     whose pages or links changed (appended sites are implicit). Only
 //     those sites' structure is rebuilt — locally their subgraphs,
-//     matrices and solvers (clean sites' chains are shared by pointer,
-//     and queries warm-start from the previous solution);
+//     matrices and solvers (clean sites' chains are shared by pointer),
+//     and only their local DocRanks re-solve — clean sites keep their
+//     vectors verbatim in the new snapshot's document layer;
 //     distributedly their shards (clean shards stay in the worker
 //     caches and are never re-shipped — Result.Dist.ShardsReused /
 //     ShardsReshipped account for it).
@@ -145,11 +146,14 @@
 // own copy, and CoalesceTol widens the match to similar queries:
 // personalization vectors within CoalesceTol of each other in
 // normalized L1 may share one flight (scalar fields still match
-// bitwise; 0 keeps exact matching). EngineOptions.TopKIndex
-// (LocalEngine only) maintains per-site posting lists across Updates
-// so default-config top-k queries — uniform or site-personalized —
-// are answered from the index bit-identically to a full re-rank,
-// re-solving only the small site layer. ServingStats() on either
+// bitwise; 0 keeps exact matching). Every LocalEngine snapshot caches
+// its default-config document layer, so default-config queries solve
+// only the site layer and the sites they personalize.
+// EngineOptions.TopKIndex (LocalEngine only) adds per-site posting
+// lists over that layer, maintained across Updates, so default-config
+// top-k queries — uniform or site-personalized — merge the lists
+// instead of selecting over every document, bit-identically.
+// ServingStats() on either
 // engine reports admissions, overloads per tenant, coalesced shares
 // and index serves. DistConfig carries the admission and coalescing
 // knobs for DistEngine.

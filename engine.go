@@ -90,9 +90,12 @@ type Result struct {
 	LocalRanks []Vector
 	// Top is the TopK table (nil when Query.TopK <= 0).
 	Top []DocScore
-	// SiteIterations and LocalIterations record power-method work:
-	// site-layer iterations (or distributed rounds) and per-site local
-	// iterations.
+	// SiteIterations and LocalIterations record the query's own
+	// power-method work: site-layer iterations (or distributed rounds)
+	// and per-site local iterations. On LocalEngine a default-config
+	// query reuses its snapshot's document layer, so every site it did
+	// not personalize reports 0 local iterations, as does the site layer
+	// of a uniform query.
 	SiteIterations  int
 	LocalIterations []int
 	// Dist carries the transport/cache statistics of a distributed
@@ -139,9 +142,10 @@ type GraphDelta struct {
 //
 // Update makes graph churn a first-class serving operation: it applies
 // a GraphDelta to a copy-on-write clone of the graph, rebuilds only the
-// changed sites' precomputed structure, warm-starts whatever the
-// backend can (local power iterations seed from the previous solution;
-// distributed runs re-ship only the changed shards), and publishes the
+// changed sites' precomputed structure, reuses whatever the backend
+// can (locally only the changed sites' local DocRanks re-solve, clean
+// sites keep theirs verbatim; distributed runs re-ship only the changed
+// shards), and publishes the
 // result as a new immutable snapshot with one atomic pointer store.
 // Rank never waits for Update and Update never waits for Rank:
 // in-flight queries — however slow — complete on the snapshot they
@@ -197,26 +201,27 @@ type EngineOptions struct {
 	// answer is within CoalesceTol (plus solver tolerance) of its exact
 	// one. 0 (the default) coalesces only bit-identical vectors.
 	CoalesceTol float64
-	// TopKIndex maintains a per-snapshot top-k index over the warm local
-	// solutions: the engine runs one refresh solve at construction and
-	// after every Update (patching only changed sites' posting lists),
-	// and serves eligible TopK queries — two-layer, default
-	// damping/tolerance/budget, no document-layer personalization — by a
-	// threshold merge over the index instead of a fresh solve plus a
-	// full re-rank of all documents. Served rankings are the snapshot's
-	// warm solution: within solver tolerance of an exact solve, and the
-	// Top table is bit-identical to fully sorting that same solution.
+	// TopKIndex adds per-site posting lists over each snapshot's shared
+	// document layer (the default-config local DocRanks every engine
+	// caches and reuses). The layer is solved at construction instead of
+	// on the first query, each Update patches only the changed sites'
+	// lists, and eligible TopK queries — two-layer, default
+	// damping/tolerance/budget, no document-layer personalization, no
+	// LocalRanks request — take their Top table from a threshold merge
+	// over the lists instead of a selection over every document. The
+	// table is bit-identical to selecting from the composed DocRank.
 	// LocalEngine only; DistEngine ignores it (its snapshots hold no
-	// warm local solutions to index — the fleet owns them).
+	// local solutions to index — the fleet owns them).
 	TopKIndex bool
 }
 
 // validate rejects query-shape combinations no backend serves, keeping
 // the two engines' contracts identical. Malformed personalization
-// vectors are rejected here, at the serving boundary, rather than left
-// to the solvers: a NaN or infinity would otherwise surface as a solver
-// failure deep inside the run — or, distributedly, propagate through a
-// barrier-free merge unchecked.
+// vectors are rejected here, at the serving boundary, before admission,
+// rather than left to the solvers: a NaN or infinity would otherwise
+// surface as a solver failure deep inside the run — or, distributedly,
+// propagate through a barrier-free merge unchecked — and a vector that
+// is not a distribution would fail there with ErrBadConfig.
 func (q Query) validate() error {
 	if q.ThreeLayer && q.SitePersonalization != nil {
 		return fmt.Errorf("%w: ThreeLayer replaces the site layer and cannot combine with SitePersonalization", ErrUnsupportedQuery)
@@ -234,10 +239,13 @@ func (q Query) validate() error {
 	return nil
 }
 
+// teleportTol is how far a personalization vector's mass may stray from
+// 1 — the bound every solver (pagerank.Config, the coordinator) applies.
+const teleportTol = 1e-6
+
 // teleportable reports whether v can serve as a teleport bias: every
-// entry finite and nonnegative, with positive total mass. Exact
-// normalization is not demanded — the solvers normalize — but an
-// all-zero vector has no distribution to normalize to.
+// entry finite and nonnegative, summing to 1 within teleportTol. The
+// solvers demand a distribution; they only absorb rounding.
 func teleportable(v Vector) error {
 	var mass float64
 	for i, x := range v {
@@ -250,7 +258,10 @@ func teleportable(v Vector) error {
 		mass += x
 	}
 	if mass == 0 {
-		return errors.New("has no mass to normalize")
+		return errors.New("has no mass")
+	}
+	if math.Abs(mass-1) > teleportTol {
+		return fmt.Errorf("sums to %g, not 1: personalization must be a probability distribution", mass)
 	}
 	return nil
 }
@@ -268,35 +279,62 @@ func (q Query) webConfig(ctx context.Context, parallelism int) lmm.WebConfig {
 	}
 }
 
+// docLayer is the default-configuration document layer of one serving
+// snapshot: the uniform SiteRank and every site's local DocRank at the
+// default damping, tolerance and iteration budget. By the Partition
+// Theorem a site's local DocRank depends only on that site's subgraph,
+// so these vectors serve every default-config query on the snapshot —
+// site-layer personalization and the three-layer model only re-weight
+// them, and document-layer personalization replaces just the listed
+// sites. Immutable once published; an Update's layer shares clean
+// sites' vectors with its predecessor by pointer.
+type docLayer struct {
+	site   Vector
+	locals []Vector
+	// seed marks a layer solved at construction or by an Update refresh:
+	// its vectors then also warm-start whatever a query still solves. A
+	// layer filled lazily by a query seeds nothing, so every answer
+	// before the first Update is bit-identical to a fresh cold solve.
+	seed bool
+}
+
 // engineSnapshot is one immutable serving state of a LocalEngine: a
 // graph, the Ranker built for exactly that graph, the pooled
-// scratch-private clones, the warm-start seeds solved on that graph,
-// and the in-flight table coalescing identical queries against it.
+// scratch-private clones, the document layer solved on that graph, and
+// the in-flight table coalescing identical queries against it.
 // Everything a query touches lives here, so a query that loaded a
 // snapshot is completely insulated from any later Update.
 type engineSnapshot struct {
-	dg         *DocGraph
-	base       *lmm.Ranker
-	pool       *sync.Pool
-	seedSite   Vector
-	seedLocals []Vector
-	flights    *flightGroup
-	// topk is the maintained top-k index over seedLocals (nil unless
-	// EngineOptions.TopKIndex): immutable like everything else here, and
-	// sharing clean sites' posting lists with the previous snapshot.
+	dg      *DocGraph
+	base    *lmm.Ranker
+	pool    *sync.Pool
+	flights *flightGroup
+	// topk is the maintained top-k index over the layer's locals (nil
+	// unless EngineOptions.TopKIndex): immutable like everything else
+	// here, and sharing clean sites' posting lists with the previous
+	// snapshot.
 	topk *topkIndex
+	// layer is set when the snapshot is built by construction of an
+	// index engine or by an Update; otherwise the first query that can
+	// use it fills it. fill is a one-slot semaphore serializing that
+	// fill; waiting on it honors the waiter's ctx.
+	layer atomic.Pointer[docLayer]
+	fill  chan struct{}
 }
 
-func newEngineSnapshot(dg *DocGraph, rk *lmm.Ranker, seedSite Vector, seedLocals []Vector, topk *topkIndex) *engineSnapshot {
-	return &engineSnapshot{
-		dg:         dg,
-		base:       rk,
-		pool:       newRankerPool(rk),
-		seedSite:   seedSite,
-		seedLocals: seedLocals,
-		flights:    newFlightGroup(),
-		topk:       topk,
+func newEngineSnapshot(dg *DocGraph, rk *lmm.Ranker, layer *docLayer, topk *topkIndex) *engineSnapshot {
+	snap := &engineSnapshot{
+		dg:      dg,
+		base:    rk,
+		pool:    newRankerPool(rk),
+		flights: newFlightGroup(),
+		topk:    topk,
+		fill:    make(chan struct{}, 1),
 	}
+	if layer != nil {
+		snap.layer.Store(layer)
+	}
+	return snap
 }
 
 // LocalEngine serves queries from one process: an lmm.Ranker core
@@ -306,22 +344,31 @@ func newEngineSnapshot(dg *DocGraph, rk *lmm.Ranker, seedSite Vector, seedLocals
 // snapshot, borrows a pooled Ranker, runs the query phase against the
 // shared immutable core, copies the result out and returns the scratch.
 //
+// Each snapshot owns its document layer: the default-config local
+// DocRanks are solved once per snapshot (on the first query that can
+// use them, or by the Update that built it) and every default-config
+// query — uniform, site- or document-personalized, three-layer — solves
+// only the site layer and the sites it personalizes, then composes over
+// the cached vectors. Queries with a custom damping, tolerance or
+// iteration budget solve every layer.
+//
 // Serving is lock-free multi-version: the whole serving state lives in
 // one atomic pointer to an immutable snapshot. Update builds the next
 // snapshot off to the side — the GraphDelta applies to a copy-on-write
 // clone that shares every clean site's adjacency with the old graph by
-// pointer — and publishes it with a single store. Queries never block
-// an Update and an Update never blocks a query: a straggler that
-// started before the swap finishes on its old snapshot, bit-identical
-// to an uncontended run. MaxInFlight/RejectOverload add an admission
-// cap in front and Coalesce folds concurrent identical queries into one
-// computation (see EngineOptions).
+// pointer, and the refresh re-solves only the changed sites' document
+// layers while clean sites keep their vectors verbatim — and publishes
+// it with a single store. Queries never block an Update and an Update
+// never blocks a query: a straggler that started before the swap
+// finishes on its old snapshot, bit-identical to an uncontended run.
+// MaxInFlight/RejectOverload add an admission cap in front and Coalesce
+// folds concurrent identical queries into one computation (see
+// EngineOptions).
 type LocalEngine struct {
 	parallelism int
 	admit       *admitGate
 	coalesce    bool
 	coalesceTol float64
-	topkIndex   bool
 	stats       servingCounters
 
 	// snap is the serving state; Rank loads it once and never looks
@@ -366,24 +413,81 @@ func NewLocalEngine(dg *DocGraph, opts EngineOptions) (*LocalEngine, error) {
 		admit:       newAdmitGate(opts.MaxInFlight, opts.TenantQuota, opts.RejectOverload),
 		coalesce:    opts.Coalesce,
 		coalesceTol: opts.CoalesceTol,
-		topkIndex:   opts.TopKIndex,
 		dirty:       make(map[SiteID]bool),
 	}
-	snap := newEngineSnapshot(dg, rk, nil, nil, nil)
+	var (
+		layer *docLayer
+		topk  *topkIndex
+	)
 	if opts.TopKIndex {
-		// The maintained index needs a warm solution to index, so a
-		// TopKIndex engine front-loads the first solve to construction
-		// time (a plain engine defers it to the first query/Update).
-		wr, err := rk.Share().RankRefresh(nil, lmm.WebConfig{Parallelism: opts.Parallelism})
+		// The index needs a document layer to index, so an index engine
+		// front-loads the layer to construction time; a plain engine
+		// leaves it to the first query that can use it.
+		layer, err = e.solveLayer(context.Background(), rk, nil, nil)
 		if err != nil {
 			return nil, err
 		}
-		seedLocals := cloneVectors(wr.LocalRanks)
-		snap = newEngineSnapshot(dg, rk, wr.SiteRank.Clone(), seedLocals, newTopkIndex(dg, seedLocals))
+		layer.seed = true
+		topk = newTopkIndex(dg, layer.locals)
 	}
+	snap := newEngineSnapshot(dg, rk, layer, topk)
 	snap.flights.shared = &e.stats.coalesced
 	e.snap.Store(snap)
 	return e, nil
+}
+
+// solveLayer runs the refresh solve over rk at the default query
+// parameters and returns it as a caller-owned document layer. With a
+// previous layer, sites not listed in changed keep prev's vectors (by
+// pointer — layers are immutable) and every solve warm-starts from prev;
+// without one every site solves cold.
+func (e *LocalEngine) solveLayer(ctx context.Context, rk *lmm.Ranker, prev *docLayer, changed []SiteID) (*docLayer, error) {
+	cfg := lmm.WebConfig{Parallelism: e.parallelism, Ctx: ctx}
+	var prevLocals []Vector
+	if prev != nil {
+		cfg.SiteStart, cfg.LocalStarts = prev.site, prev.locals
+		prevLocals = prev.locals
+	}
+	wr, err := rk.RankRefresh(changed, cfg)
+	if err != nil {
+		return nil, normalizeCtxErr(ctx, err)
+	}
+	locals := make([]Vector, len(wr.LocalRanks))
+	for s, v := range wr.LocalRanks {
+		if s < len(prevLocals) && len(v) > 0 && len(v) == len(prevLocals[s]) && &v[0] == &prevLocals[s][0] {
+			locals[s] = v // carried verbatim from prev
+		} else {
+			locals[s] = v.Clone()
+		}
+	}
+	return &docLayer{site: wr.SiteRank.Clone(), locals: locals}, nil
+}
+
+// loadLayer returns the snapshot's document layer, filling it on first
+// use. Concurrent first queries wait for one fill instead of racing
+// their own; a fill that fails (a cancelled ctx, say) publishes nothing,
+// so the next query fills afresh rather than inheriting the failure.
+func (e *LocalEngine) loadLayer(ctx context.Context, snap *engineSnapshot) (*docLayer, error) {
+	if l := snap.layer.Load(); l != nil {
+		return l, nil
+	}
+	select {
+	case snap.fill <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-snap.fill }()
+	if l := snap.layer.Load(); l != nil {
+		return l, nil
+	}
+	rk := snap.pool.Get().(*lmm.Ranker)
+	defer snap.pool.Put(rk)
+	l, err := e.solveLayer(ctx, rk, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	snap.layer.Store(l)
+	return l, nil
 }
 
 // unionSites returns dirty ∪ changed as a slice without mutating dirty —
@@ -403,16 +507,18 @@ func unionSites(dirty map[SiteID]bool, changed []SiteID) []SiteID {
 	return out
 }
 
-// Update applies one batch of graph churn and publishes a warm serving
-// snapshot: delta.Apply (if any) runs against a copy-on-write clone of
-// the served graph, only the changed sites' subgraphs/matrices/solvers
-// are rebuilt, and a refresh solve — itself warm-started from the
-// previous update's solution — becomes the seed every subsequent
-// query's power iterations start from. Rankings served after Update
-// agree with a cold rebuild to solver tolerance (pinned < 1e-9 in the
-// tests) while doing measurably less iteration and allocation work.
-// In-flight queries are never drained: they complete on the snapshot
-// they started on while the rebuild proceeds beside them.
+// Update applies one batch of graph churn and publishes a refreshed
+// serving snapshot: delta.Apply (if any) runs against a copy-on-write
+// clone of the served graph, only the changed sites'
+// subgraphs/matrices/solvers are rebuilt, and a refresh solve builds the
+// new snapshot's document layer — the changed sites re-solve
+// (warm-started from the previous layer), every clean site keeps its
+// vector verbatim, and the site layer re-solves warm. Rankings served
+// after Update agree with a cold rebuild to solver tolerance (pinned
+// < 1e-9 in the tests). In-flight queries are never drained: they
+// complete on the snapshot they started on while the rebuild proceeds
+// beside them. Both engine flavours refresh the same way; an index
+// engine additionally patches only the changed sites' posting lists.
 //
 // On the Apply path an error leaves the engine exactly as before — the
 // clone is discarded, nothing was mutated, a failed Update is a no-op.
@@ -456,39 +562,23 @@ func (e *LocalEngine) rebuildAndPublish(ctx context.Context, cur *engineSnapshot
 		return err
 	}
 	next.Prepare()
-	// The refresh solve: default query parameters, warm-started from the
-	// previous seeds where the shapes survived (changed sites whose
-	// roster grew start cold automatically — seeds are shape-checked
-	// hints). Its solution is cloned into the new snapshot's seeds. A
-	// TopKIndex engine refreshes instead of re-solving: clean sites keep
-	// their previous local solutions bit-for-bit (a warm re-polish would
-	// drift them by an ulp), which is exactly what makes patching only
-	// the changed sites' posting lists sound.
-	cfg := lmm.WebConfig{
-		Parallelism: e.parallelism,
-		SiteStart:   cur.seedSite,
-		LocalStarts: cur.seedLocals,
-		Ctx:         ctx,
-	}
-	var wr *lmm.WebResult
-	if e.topkIndex {
-		wr, err = next.Share().RankRefresh(changed, cfg)
-	} else {
-		wr, err = next.Share().Rank(cfg)
-	}
+	// A snapshot no query has filled yet refreshes cold; changed sites
+	// whose roster grew start cold automatically (seeds are shape-checked
+	// hints).
+	layer, err := e.solveLayer(ctx, next.Share(), cur.layer.Load(), changed)
 	if err != nil {
-		return normalizeCtxErr(ctx, err)
+		return err
 	}
-	seedLocals := cloneVectors(wr.LocalRanks)
+	layer.seed = true
 	var topk *topkIndex
-	if e.topkIndex {
+	if cur.topk != nil {
 		changedSet := make(map[SiteID]bool, len(changed))
 		for _, s := range changed {
 			changedSet[s] = true
 		}
-		topk = cur.topk.patch(dg, seedLocals, changedSet)
+		topk = cur.topk.patch(dg, layer.locals, changedSet)
 	}
-	snap := newEngineSnapshot(dg, next, wr.SiteRank.Clone(), seedLocals, topk)
+	snap := newEngineSnapshot(dg, next, layer, topk)
 	snap.flights.shared = &e.stats.coalesced
 	e.snap.Store(snap)
 	clear(e.dirty)
@@ -515,7 +605,7 @@ func (e *LocalEngine) Rank(ctx context.Context, q Query) (*Result, error) {
 	}
 	defer e.admit.release(q.Tenant)
 	e.stats.ranks.Add(1)
-	// One load pins the whole serving state: graph, core, pool, seeds.
+	// One load pins the whole serving state: graph, core, pool, layer.
 	// An Update publishing mid-query swaps the pointer for *later*
 	// queries; this one finishes on the snapshot it started on.
 	snap := e.snap.Load()
@@ -529,79 +619,128 @@ func (e *LocalEngine) Rank(ctx context.Context, q Query) (*Result, error) {
 	return e.rankSnap(ctx, snap, q)
 }
 
-// indexEligible reports whether q can serve from the snapshot's
-// maintained top-k index: a two-layer TopK query at the default
-// damping/tolerance/iteration budget with no document-layer
-// personalization and no LocalRanks request — exactly the queries whose
-// document layers equal the snapshot's warm solution, which is what the
-// index indexes. Site-layer personalization is eligible: the Partition
-// Theorem composes DocRank as siteWeight·localRank, so the posting
-// lists are valid under any site weighting and only the small site
-// layer needs solving.
-func (snap *engineSnapshot) indexEligible(q Query) bool {
-	return snap.topk != nil && q.TopK > 0 && !q.ThreeLayer &&
-		q.DocPersonalization == nil && !q.WantLocalRanks &&
-		q.Damping == 0 && q.Tol == 0 && q.MaxIter == 0
+// defaultSolve reports whether q runs at the default damping, tolerance
+// and iteration budget — the parameters a snapshot's document layer was
+// solved at, and so the queries that can reuse it.
+func (q Query) defaultSolve() bool {
+	return q.Damping == 0 && q.Tol == 0 && q.MaxIter == 0
 }
 
-// rankFromIndex answers an eligible query from the snapshot's top-k
-// index: the served DocRank is the warm solution composed under the
-// query's site weights, and the Top table is a threshold merge over the
-// per-site posting lists — bit-identical to fully sorting that DocRank,
-// without touching the other N−k documents. ok=false means the query
-// was not eligible and must take the full solve path.
-func (e *LocalEngine) rankFromIndex(ctx context.Context, snap *engineSnapshot, q Query) (res *Result, ok bool, err error) {
-	if !snap.indexEligible(q) {
-		return nil, false, nil
-	}
-	weights := snap.seedSite
-	siteIters := 0
-	if q.SitePersonalization != nil {
-		// Only the site layer depends on the personalization; re-solve
-		// it (warm-started from the snapshot's πS) and keep the warm
-		// document layers.
-		rk := snap.pool.Get().(*lmm.Ranker)
-		defer snap.pool.Put(rk)
-		cfg := q.webConfig(ctx, e.parallelism)
-		cfg.SiteStart = snap.seedSite
-		sr, iters, serr := rk.RankSites(cfg)
-		if serr != nil {
-			return nil, true, normalizeCtxErr(ctx, serr)
-		}
-		// sr aliases the pooled Ranker's scratch; privatize before the
-		// deferred Put can hand that scratch to another query.
-		weights = sr.Clone()
-		siteIters = iters
-	}
-	e.stats.topkIndex.Add(1)
-	return &Result{
-		DocRank:         lmm.ComposeDocRank(snap.dg, weights, snap.seedLocals),
-		SiteRank:        weights.Clone(),
-		SiteIterations:  siteIters,
-		LocalIterations: make([]int, len(snap.dg.Sites)),
-		Top:             snap.topk.top(snap.dg, weights, q.TopK),
-	}, true, nil
+// indexEligible reports whether q's Top table can come from the
+// snapshot's maintained top-k index: a two-layer default-config TopK
+// query with no document-layer personalization and no LocalRanks
+// request. Site-layer personalization is eligible: the Partition
+// Theorem composes DocRank as siteWeight·localRank, so the posting
+// lists are valid under any site weighting.
+func (snap *engineSnapshot) indexEligible(q Query) bool {
+	return snap.topk != nil && q.TopK > 0 && !q.ThreeLayer &&
+		q.DocPersonalization == nil && !q.WantLocalRanks && q.defaultSolve()
 }
 
 // rankSnap runs one query against a pinned snapshot.
 func (e *LocalEngine) rankSnap(ctx context.Context, snap *engineSnapshot, q Query) (*Result, error) {
-	if res, ok, err := e.rankFromIndex(ctx, snap, q); ok {
-		return res, err
+	// Checked up front: a query over a cached layer may never call into
+	// the Ranker, which is where staleness would otherwise surface.
+	if snap.base.Stale() {
+		return nil, ErrGraphMutated
 	}
+	if !q.defaultSolve() {
+		return e.rankFull(ctx, snap, q)
+	}
+	layer, err := e.loadLayer(ctx, snap)
+	if err != nil {
+		return nil, err
+	}
+	return e.rankOver(ctx, snap, layer, q)
+}
+
+// rankOver answers a default-config query over the snapshot's document
+// layer: only the site layer (or the three-layer weights) and the sites
+// the query personalizes are solved; every other site's local DocRank
+// is the layer's vector, and the composition is the Partition Theorem's
+// siteWeight·localRank. A personalized solve starts from the layer when
+// it seeds, cold otherwise — each site contributes the same bits a full
+// solve on this snapshot would. Index-eligible Top tables come from a
+// threshold merge over the index's posting lists, bit-identical to
+// sorting the composed DocRank.
+func (e *LocalEngine) rankOver(ctx context.Context, snap *engineSnapshot, layer *docLayer, q Query) (*Result, error) {
 	rk := snap.pool.Get().(*lmm.Ranker)
 	defer snap.pool.Put(rk)
 	cfg := q.webConfig(ctx, e.parallelism)
-	// Post-churn queries start their power iterations from the last
-	// update's solution instead of uniform (nil seeds before the first
-	// Update mean a cold start). The site seed is a two-layer πS and
-	// stays out of three-layer queries: their upper stack ranks domains
-	// and entry nodes, where a same-length site vector would be a
-	// wrong-distribution seed, not a warm start. The local seeds apply
-	// to both models — the document layer is identical in both.
-	if !q.ThreeLayer {
-		cfg.SiteStart = snap.seedSite
+	if layer.seed {
+		cfg.SiteStart, cfg.LocalStarts = layer.site, layer.locals
 	}
-	cfg.LocalStarts = snap.seedLocals
+	res := &Result{}
+	switch {
+	case q.ThreeLayer:
+		tl, err := rk.ThreeLayerWeights(q.DomainOf, cfg)
+		if err != nil {
+			return nil, normalizeCtxErr(ctx, err)
+		}
+		// The domain-layer vectors (SiteWeights included) are freshly
+		// allocated per query — already caller-owned.
+		res.SiteRank = tl.SiteWeights
+		res.Domains, res.DomainRank = tl.Domains, tl.DomainRank
+		res.DomainOfSite, res.SiteEntry = tl.DomainOfSite, tl.SiteEntry
+	case q.SitePersonalization != nil:
+		sr, iters, err := rk.RankSites(cfg)
+		if err != nil {
+			return nil, normalizeCtxErr(ctx, err)
+		}
+		// sr aliases the pooled Ranker's scratch; privatize it before the
+		// deferred Put can hand that scratch to another query.
+		res.SiteRank = sr.Clone()
+		res.SiteIterations = iters
+	default:
+		res.SiteRank = layer.site.Clone()
+	}
+	locals := layer.locals
+	if len(q.DocPersonalization) > 0 {
+		solve := make([]SiteID, 0, len(q.DocPersonalization))
+		for s := range q.DocPersonalization {
+			solve = append(solve, s)
+		}
+		ls, iters, err := rk.RankLocalsOver(layer.locals, solve, cfg)
+		if err != nil {
+			return nil, normalizeCtxErr(ctx, err)
+		}
+		locals = ls
+		res.LocalIterations = append([]int(nil), iters...)
+	} else {
+		res.LocalIterations = make([]int, len(locals))
+	}
+	res.DocRank = lmm.ComposeDocRank(snap.dg, res.SiteRank, locals)
+	if q.WantLocalRanks {
+		res.LocalRanks = cloneVectors(locals)
+	}
+	switch {
+	case q.TopK <= 0:
+	case snap.indexEligible(q):
+		e.stats.topkIndex.Add(1)
+		res.Top = snap.topk.top(snap.dg, res.SiteRank, q.TopK)
+	default:
+		res.Top = TopDocs(snap.dg, res.DocRank, q.TopK)
+	}
+	return res, nil
+}
+
+// rankFull answers a query with custom solver parameters: every layer
+// solves under them, warm-started from the snapshot's layer when it
+// seeds. The site seed is a two-layer πS and stays out of three-layer
+// queries: their upper stack ranks domains and entry nodes, where a
+// same-length site vector would be a wrong-distribution seed, not a
+// warm start. The local seeds apply to both models — the document
+// layer is identical in both.
+func (e *LocalEngine) rankFull(ctx context.Context, snap *engineSnapshot, q Query) (*Result, error) {
+	rk := snap.pool.Get().(*lmm.Ranker)
+	defer snap.pool.Put(rk)
+	cfg := q.webConfig(ctx, e.parallelism)
+	if layer := snap.layer.Load(); layer != nil && layer.seed {
+		if !q.ThreeLayer {
+			cfg.SiteStart = layer.site
+		}
+		cfg.LocalStarts = layer.locals
+	}
 
 	var res *Result
 	if q.ThreeLayer {

@@ -422,6 +422,15 @@ func TestQueryValidation(t *testing.T) {
 		v[0] = x
 		return map[SiteID]Vector{docSite: v}
 	}
+	// doubled scales a valid vector to mass 2: teleportable, but not the
+	// distribution every solver demands.
+	doubled := func(v Vector) Vector {
+		out := v.Clone()
+		for i := range out {
+			out[i] *= 2
+		}
+		return out
+	}
 
 	cases := []struct {
 		name string
@@ -451,6 +460,7 @@ func TestQueryValidation(t *testing.T) {
 			q:        Query{SitePersonalization: make(Vector, web.Graph.NumSites())},
 			rejected: true,
 		},
+		{name: "siteUnnormalized", q: Query{SitePersonalization: doubled(goodSite)}, rejected: true},
 		{name: "docNaN", q: Query{DocPersonalization: poisonDoc(math.NaN())}, rejected: true},
 		{name: "docInf", q: Query{DocPersonalization: poisonDoc(math.Inf(-1))}, rejected: true},
 		{name: "docNegative", q: Query{DocPersonalization: poisonDoc(-0.5)}, rejected: true},
@@ -459,22 +469,33 @@ func TestQueryValidation(t *testing.T) {
 			q:        Query{DocPersonalization: map[SiteID]Vector{docSite: make(Vector, len(goodDoc))}},
 			rejected: true,
 		},
+		{
+			name:     "docUnnormalized",
+			q:        Query{DocPersonalization: map[SiteID]Vector{docSite: doubled(goodDoc)}},
+			rejected: true,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			engines := []struct {
 				name     string
 				eng      Engine
+				stats    func() ServingStats
 				rejected bool
 			}{
-				{"local", local, tc.rejected},
-				{"dist", dist, tc.rejected || tc.distRejected},
+				{"local", local, local.ServingStats, tc.rejected},
+				{"dist", dist, dist.ServingStats, tc.rejected || tc.distRejected},
 			}
 			for _, e := range engines {
+				before := e.stats().Ranks
 				_, err := e.eng.Rank(ctx, tc.q)
 				if e.rejected {
 					if !errors.Is(err, ErrUnsupportedQuery) {
 						t.Errorf("%s: err = %v, want ErrUnsupportedQuery", e.name, err)
+					}
+					// Rejected at the boundary, before admission.
+					if after := e.stats().Ranks; after != before {
+						t.Errorf("%s: rejected query was admitted (Ranks %d → %d)", e.name, before, after)
 					}
 					continue
 				}

@@ -161,8 +161,10 @@ func TestTopKIndexTies(t *testing.T) {
 
 // TestTopKIndexIneligibleFallsThrough: queries outside the index's
 // contract — non-default solver parameters, document-layer
-// personalization, three-layer, LocalRanks requests, no TopK — take the
-// full solve path and still answer correctly.
+// personalization, three-layer, LocalRanks requests, no TopK — never
+// merge the posting lists (custom parameters solve every layer, the
+// rest compose over the document layer and select their table) and
+// still answer correctly.
 func TestTopKIndexIneligibleFallsThrough(t *testing.T) {
 	web := churnTestWeb()
 	ctx := context.Background()

@@ -62,7 +62,8 @@ func main() {
 	// Engine.Update delivers the mutation race-free — Apply runs against
 	// a copy-on-write clone published atomically, so in-flight queries
 	// finish undisturbed — rebuilds only that site's structure and
-	// warm-starts every later query from the previous solution.
+	// re-solves only that site's local DocRank; every other site keeps
+	// its vector, and later queries reuse the refreshed document layer.
 	var site lmmrank.SiteID = 5
 	err = eng.Update(ctx, lmmrank.GraphDelta{
 		ChangedSites: []lmmrank.SiteID{site},
@@ -82,12 +83,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	warmIters := refreshed.SiteIterations
+	queryIters := refreshed.SiteIterations
 	for _, it := range refreshed.LocalIterations {
-		warmIters += it
+		queryIters += it
 	}
-	fmt.Printf("\nEngine.Update after site %q changed: warm query converged in %d power iterations total\n",
-		snapshot.Sites[site].Name, warmIters)
+	fmt.Printf("\nEngine.Update after site %q changed: the next query reused the refreshed layers (%d power iterations of its own)\n",
+		snapshot.Sites[site].Name, queryIters)
 	fmt.Printf("‖updated − previous‖₁ = %.2e (local perturbation, local effect)\n",
 		refreshed.DocRank.L1Diff(ranking.DocRank))
 

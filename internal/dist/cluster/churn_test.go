@@ -50,6 +50,14 @@ func TestDeltaShippingAfterRebuild(t *testing.T) {
 		t.Fatalf("cold run reshipped %d / reused %d, want %d / 0",
 			cold.Stats.ShardsReshipped, cold.Stats.ShardsReused, ns)
 	}
+	cachedShards := func() int {
+		var n int
+		for _, w := range cl.Workers {
+			n += w.Stats().CacheEntries
+		}
+		return n
+	}
+	coldEntries := cachedShards()
 
 	// One site's links change.
 	const site = graph.SiteID(3)
@@ -107,6 +115,11 @@ func TestDeltaShippingAfterRebuild(t *testing.T) {
 	}
 	if d := warm.DocRank.L1Diff(local.DocRank); d >= 1e-9 {
 		t.Errorf("‖delta-shipped − local‖₁ = %g, want < 1e-9", d)
+	}
+	// The edited site's superseded shard left its worker's cache, so
+	// churn does not grow worker memory.
+	if got := cachedShards(); got != coldEntries {
+		t.Errorf("workers cache %d shards after the delta run, %d after the cold run", got, coldEntries)
 	}
 
 	// A further warm run over the unchanged next Ranker is fully memoized

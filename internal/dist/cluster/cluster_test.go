@@ -136,6 +136,13 @@ func TestWorkerSideStats(t *testing.T) {
 	if _, err := cl.Coord.Rank(web.Graph, coordinator.Config{DistributedSiteRank: true}); err != nil {
 		t.Fatalf("Rank: %v", err)
 	}
+	// A worker counts a reply's bytes only after its conn.Write returns,
+	// which can be after the coordinator has already decoded the reply.
+	// Close joins every worker's connection goroutines, so the counters
+	// are final once it returns.
+	if err := cl.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
 
 	var wMsgs, wIn, wOut uint64
 	for _, w := range cl.Workers {

@@ -22,6 +22,9 @@ type cacheEntry struct {
 	sub     *graph.Digraph
 	rowCols []int
 	rowVals []float64
+	// refs counts the session site bindings to this entry (guarded by
+	// shardCache.mu; see rebind).
+	refs int
 
 	mu     sync.Mutex
 	solver *lmm.SubgraphSolver
@@ -143,6 +146,46 @@ func (c *shardCache) addChain(d wire.Digest, chain *wire.SiteChain) {
 		oldest := c.chainLRU.Back()
 		c.chainLRU.Remove(oldest)
 		delete(c.chains, oldest.Value.(*chainEntry).digest)
+	}
+}
+
+// rebind records that a session's site moved from hosting prev (nil if
+// the site was unbound) to hosting e. A replaced entry that no session
+// binds any more holds content its site has moved past — the graph
+// changed under it — so it leaves the cache at once. Left to the LRU,
+// whose document budget is sized for the largest legal load, every
+// graph update would strand one superseded shard and its solver in
+// memory. Entries whose sessions merely ended stay cached: that is what
+// keeps a rejoining coordinator's re-ship near zero.
+func (c *shardCache) rebind(prev, e *cacheEntry) {
+	if prev == e {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e.refs++
+	if prev == nil {
+		return
+	}
+	prev.refs--
+	if prev.refs > 0 {
+		return
+	}
+	// The digest may name a newer entry with the same content (prev was
+	// evicted and re-shipped); only prev itself goes.
+	if el, ok := c.shards[prev.digest]; ok && el.Value.(*cacheEntry) == prev {
+		c.shardLRU.Remove(el)
+		delete(c.shards, prev.digest)
+		c.totalDocs -= prev.numDocs
+	}
+}
+
+// release drops a closed session's bindings without evicting anything.
+func (c *shardCache) release(bound map[int]*cacheEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range bound {
+		e.refs--
 	}
 }
 

@@ -57,6 +57,46 @@ func TestShardCacheDedupes(t *testing.T) {
 	}
 }
 
+// TestShardCacheRebindEvictsSuperseded pins the churn retention rule:
+// an entry replaced at a site and bound by no other session leaves the
+// cache at once, an entry another session still binds stays, and a
+// session that merely ends evicts nothing.
+func TestShardCacheRebindEvictsSuperseded(t *testing.T) {
+	c := newShardCache()
+	old, next, shared := entryOfDocs(1, 4), entryOfDocs(2, 4), entryOfDocs(3, 2)
+	for _, e := range []*cacheEntry{old, next, shared} {
+		c.addShard(e)
+	}
+	a := map[int]*cacheEntry{0: old, 1: shared}
+	c.rebind(nil, old)
+	c.rebind(nil, shared)
+	b := map[int]*cacheEntry{1: shared}
+	c.rebind(nil, shared)
+
+	c.rebind(old, next) // session a's site 0 changed content
+	a[0] = next
+	if c.lookupShard(old.digest) != nil {
+		t.Error("superseded entry no session binds survived")
+	}
+	c.rebind(shared, old) // session a's site 1 changed; b still binds shared
+	a[1] = old
+	if c.lookupShard(shared.digest) == nil {
+		t.Error("entry still bound by another session was evicted")
+	}
+	c.rebind(next, next) // reloading the same content is not a change
+	if c.lookupShard(next.digest) == nil {
+		t.Error("rebinding an entry to itself evicted it")
+	}
+	c.release(a)
+	c.release(b)
+	if c.lookupShard(next.digest) == nil || c.lookupShard(shared.digest) == nil {
+		t.Error("ending a session evicted its entries")
+	}
+	if entries, docs := c.gauges(); entries != 2 || docs != 6 {
+		t.Errorf("gauges = %d entries / %d docs, want 2 / 6", entries, docs)
+	}
+}
+
 // TestOfferAndCachedLoad drives the cache protocol over a real socket:
 // a shard shipped by one session is offered and activated by digest
 // from a second session without re-shipping its content.

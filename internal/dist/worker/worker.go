@@ -75,6 +75,11 @@ type session struct {
 	// of the session, since each run numbers its epochs from one.
 	asyncEpoch  uint64
 	asyncSweeps int
+	// bound is the entry each site was last loaded with, kept across
+	// KindReset (each run resets, then reloads every site): a site
+	// loaded with new content supersedes its old entry (see
+	// shardCache.rebind).
+	bound map[int]*cacheEntry
 }
 
 // sortedShards returns the loaded shards in ascending site order, the
@@ -289,8 +294,9 @@ func (w *Worker) serveConn(conn net.Conn) {
 	}()
 
 	wc := wire.NewConn(conn, &w.counters)
-	sess := &session{}
+	sess := &session{bound: make(map[int]*cacheEntry)}
 	sess.clear()
+	defer w.cache.release(sess.bound)
 	for {
 		var req wire.Request
 		if err := wc.Dec.Decode(&req); err != nil {
@@ -574,6 +580,8 @@ func (w *Worker) handleLoad(sess *session, req *wire.Request) *wire.Response {
 		}
 		sess.shards[p.site] = &shard{site: p.site, entry: p.entry}
 		sess.totalDocs += p.entry.numDocs
+		w.cache.rebind(sess.bound[p.site], p.entry)
+		sess.bound[p.site] = p.entry
 	}
 	if chain != nil {
 		sess.chain = chain

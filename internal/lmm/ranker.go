@@ -116,6 +116,7 @@ type Ranker struct {
 	localRanks []matrix.Vector
 	localIters []int
 	errs       []error
+	pending    []int // sites RankLocalsOver solves
 }
 
 // NewRanker validates and precomputes the layered ranking structure of
@@ -256,6 +257,7 @@ func (r *Ranker) ensureQueryState() {
 	r.localRanks = make([]matrix.Vector, len(r.core.sites))
 	r.localIters = make([]int, len(r.core.sites))
 	r.errs = make([]error, len(r.core.sites))
+	r.pending = make([]int, 0, len(r.core.sites))
 }
 
 // Rank executes the query phase of §3.2 against the precomputed
@@ -271,7 +273,7 @@ func (r *Ranker) Rank(cfg WebConfig) (*WebResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := r.rankLocals(&cfg); err != nil {
+	if _, _, err := r.RankLocalsOver(nil, nil, cfg); err != nil {
 		return nil, err
 	}
 	composeDocRankInto(r.docRank, r.core.dg, siteRank, r.localRanks)
@@ -282,41 +284,6 @@ func (r *Ranker) Rank(cfg WebConfig) (*WebResult, error) {
 		SiteIterations:  siteIters,
 		LocalIterations: r.localIters,
 	}, nil
-}
-
-// rankLocals runs every site's local DocRank into this Ranker's buffers.
-// The loop is data-parallel — every site solver is independent — and the
-// single-worker case runs a plain loop: no goroutines, no closure, no
-// allocations.
-func (r *Ranker) rankLocals(cfg *WebConfig) error {
-	errs := r.errs
-	for s := range errs {
-		errs[s] = nil
-	}
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 {
-		for s := range r.core.sites {
-			r.rankLocal(s, cfg)
-		}
-	} else {
-		// The closure must capture a block-local copy: capturing cfg
-		// itself would force it onto the heap for the serial path too,
-		// breaking the zero-allocation budget.
-		c := *cfg
-		ForEachParallel(len(r.core.sites), workers, func(s int) {
-			r.rankLocal(s, &c)
-		})
-	}
-	for s, err := range errs {
-		if err != nil {
-			return fmt.Errorf("lmm: local docrank of site %d (%s): %w",
-				s, r.core.dg.Sites[s].Name, err)
-		}
-	}
-	return nil
 }
 
 // rankLocal solves one site's local DocRank into the Ranker's reusable
@@ -372,32 +339,67 @@ func (r *Ranker) rankLocal(s int, cfg *WebConfig) {
 // any link change can shift it — warm-started from cfg.SiteStart.
 //
 // The reused local vectors alias cfg.LocalStarts, not this Ranker's
-// scratch; the caller owns both sides (the Engine clones the result
-// into its snapshot either way).
+// scratch; the caller owns both sides (the Engine carries them into its
+// next snapshot by pointer and clones only the re-solved ones).
 func (r *Ranker) RankRefresh(changed []graph.SiteID, cfg WebConfig) (*WebResult, error) {
-	r.ensureQueryState()
 	siteRank, siteIters, err := r.RankSites(cfg)
 	if err != nil {
 		return nil, err
 	}
-	changedSet := make(map[int]bool, len(changed))
-	for _, s := range changed {
-		changedSet[int(s)] = true
+	locals, iters, err := r.RankLocalsOver(cfg.LocalStarts, changed, cfg)
+	if err != nil {
+		return nil, err
 	}
-	var pending []int
+	composeDocRankInto(r.docRank, r.core.dg, siteRank, locals)
+	return &WebResult{
+		DocRank:         r.docRank,
+		SiteRank:        siteRank,
+		LocalRanks:      locals,
+		SiteIterations:  siteIters,
+		LocalIterations: iters,
+	}, nil
+}
+
+// RankLocalsOver computes a document layer over a reused one: each site
+// listed in solve re-solves under cfg (with its DocPersonalization
+// entry, warm-started from cfg.LocalStarts where the shape matches), as
+// does any site whose reuse vector is missing or no longer matches its
+// roster; every other site keeps reuse[s] verbatim with zero
+// iterations. By the Partition Theorem a site's local DocRank depends
+// on its own subgraph alone, so a reused default-config vector is
+// exactly what re-solving that site would produce — the point of
+// precomputing the document layer once per graph. Entries of solve out
+// of range are ignored, and 0- and 1-document sites always take their
+// fixed local rank.
+//
+// The returned slices are this Ranker's buffers, valid until its next
+// query; a reused entry is reuse[s] itself, not a copy.
+func (r *Ranker) RankLocalsOver(reuse []matrix.Vector, solve []graph.SiteID, cfg WebConfig) ([]matrix.Vector, []int, error) {
+	if r.Stale() {
+		return nil, nil, ErrGraphMutated
+	}
+	r.ensureQueryState()
+	var solveSet map[int]bool // nil reads as empty: Rank allocates nothing
+	if len(solve) > 0 {
+		solveSet = make(map[int]bool, len(solve))
+		for _, s := range solve {
+			solveSet[int(s)] = true
+		}
+	}
+	pending := r.pending[:0]
 	for s, st := range r.core.sites {
-		if st.fixed != nil {
+		switch {
+		case st.fixed != nil:
 			r.localRanks[s] = st.fixed
 			r.localIters[s] = 0
-			continue
-		}
-		if !changedSet[s] && s < len(cfg.LocalStarts) && len(cfg.LocalStarts[s]) == st.sub.NumNodes() {
-			r.localRanks[s] = cfg.LocalStarts[s]
+		case !solveSet[s] && s < len(reuse) && len(reuse[s]) == st.sub.NumNodes():
+			r.localRanks[s] = reuse[s]
 			r.localIters[s] = 0
-			continue
+		default:
+			pending = append(pending, s)
 		}
-		pending = append(pending, s)
 	}
+	r.pending = pending
 	errs := r.errs
 	for s := range errs {
 		errs[s] = nil
@@ -411,25 +413,21 @@ func (r *Ranker) RankRefresh(changed []graph.SiteID, cfg WebConfig) (*WebResult,
 			r.rankLocal(s, &cfg)
 		}
 	} else {
-		c := cfg
-		ForEachParallel(len(pending), workers, func(i int) {
-			r.rankLocal(pending[i], &c)
+		// The closure must capture block-local copies: capturing cfg or
+		// pending themselves would force them onto the heap for the
+		// serial path too, breaking Rank's zero-allocation budget.
+		c, p := cfg, pending
+		ForEachParallel(len(p), workers, func(i int) {
+			r.rankLocal(p[i], &c)
 		})
 	}
 	for s, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("lmm: refresh docrank of site %d (%s): %w",
+			return nil, nil, fmt.Errorf("lmm: local docrank of site %d (%s): %w",
 				s, r.core.dg.Sites[s].Name, err)
 		}
 	}
-	composeDocRankInto(r.docRank, r.core.dg, siteRank, r.localRanks)
-	return &WebResult{
-		DocRank:         r.docRank,
-		SiteRank:        siteRank,
-		LocalRanks:      r.localRanks,
-		SiteIterations:  siteIters,
-		LocalIterations: r.localIters,
-	}, nil
+	return r.localRanks, r.localIters, nil
 }
 
 // Rank3 answers a three-layer (domain → site → page) query against the
@@ -461,7 +459,7 @@ func (r *Ranker) Rank3(domainOf func(siteName string) string, cfg WebConfig) (*W
 		return nil, err
 	}
 	r.ensureQueryState()
-	if err := r.rankLocals(&cfg); err != nil {
+	if _, _, err := r.RankLocalsOver(nil, nil, cfg); err != nil {
 		return nil, fmt.Errorf("lmm: layered3: %w", err)
 	}
 	composeDocRankInto(r.docRank, r.core.dg, tl.SiteWeights, r.localRanks)

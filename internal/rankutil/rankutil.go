@@ -8,7 +8,7 @@ package rankutil
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Entry pairs an item index with its score.
@@ -20,6 +20,12 @@ type Entry struct {
 // TopK returns the k highest-scoring indices in descending score order,
 // ties broken toward the lower index (deterministic across runs). k is
 // clamped to len(scores).
+//
+// Selection, not sorting: a bounded heap keeps the k best entries seen
+// so far with the worst at its root, so the scan costs O(N·log k), and
+// only the k survivors are sorted. The order is the same total order a
+// full stable sort by (score desc, index asc) produces, so the entries
+// are identical to sorting every score.
 func TopK(scores []float64, k int) []Entry {
 	if k > len(scores) {
 		k = len(scores)
@@ -27,23 +33,66 @@ func TopK(scores []float64, k int) []Entry {
 	if k <= 0 {
 		return nil
 	}
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Full sort keeps the code simple and deterministic; selection would
-	// only matter for graphs far beyond this package's benchmarks.
-	sort.SliceStable(idx, func(a, b int) bool {
-		if scores[idx[a]] != scores[idx[b]] {
-			return scores[idx[a]] > scores[idx[b]]
+	h := make([]Entry, 0, k)
+	for i, s := range scores {
+		if len(h) < k {
+			h = append(h, Entry{Index: i, Score: s})
+			siftUp(h, len(h)-1)
+			continue
 		}
-		return idx[a] < idx[b]
-	})
-	out := make([]Entry, k)
-	for i := 0; i < k; i++ {
-		out[i] = Entry{Index: idx[i], Score: scores[idx[i]]}
+		// Indices arrive ascending, so a later entry beats the current
+		// worst only on a strictly greater score.
+		if s > h[0].Score {
+			h[0] = Entry{Index: i, Score: s}
+			siftDown(h, 0)
+		}
 	}
-	return out
+	slices.SortFunc(h, func(a, b Entry) int {
+		if before(a, b) {
+			return -1
+		}
+		return 1
+	})
+	return h
+}
+
+// before reports whether a ranks ahead of b: higher score first, ties
+// toward the lower index. Indices are distinct, so this is a total
+// order.
+func before(a, b Entry) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.Index < b.Index
+}
+
+// siftUp and siftDown maintain h as a heap whose root is the entry
+// ranked last under before.
+func siftUp(h []Entry, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(h[p], h[i]) {
+			return
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+func siftDown(h []Entry, i int) {
+	for {
+		worst := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && before(h[worst], h[c]) {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
 }
 
 // Ranks converts scores into 0-based rank positions (rank[i] = position of

@@ -199,7 +199,10 @@ func DeriveSiteGraph(dg *DocGraph, opts SiteGraphOptions) *SiteGraph {
 // It is the one-shot wrapper over Engine: a throwaway LocalEngine is
 // built and queried once, so the result is caller-owned. Callers
 // ranking the same graph repeatedly should hold a LocalEngine (or, for
-// single-goroutine serving, a Ranker) instead.
+// single-goroutine serving, a Ranker) instead. The iteration counts are
+// the query's own (see Result.LocalIterations): a default-config call
+// reuses the engine's document layer and reports 0 for every site it
+// did not personalize; a Ranker reports the solve's full work.
 func LayeredDocRank(dg *DocGraph, cfg WebConfig) (*WebResult, error) {
 	eng, err := NewLocalEngine(dg, EngineOptions{SiteGraph: cfg.SiteGraph, Parallelism: cfg.Parallelism})
 	if err != nil {

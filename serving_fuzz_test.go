@@ -9,7 +9,9 @@ import (
 // decodeQuery carves one Query out of raw fuzz bytes: scalars first,
 // then up to 8 site-personalization entries, then up to 2 small
 // document-personalization vectors. Deterministic, so equal byte
-// prefixes decode to equal queries.
+// prefixes decode to equal queries. Vectors with finite positive mass
+// are scaled to sum to 1, the only shape Query.validate admits, so the
+// coalescing contract keeps being exercised on personalized queries.
 func decodeQuery(data []byte) (Query, []byte) {
 	f64 := func() float64 {
 		if len(data) < 8 {
@@ -40,6 +42,7 @@ func decodeQuery(data []byte) (Query, []byte) {
 		for i := range q.SitePersonalization {
 			q.SitePersonalization[i] = f64()
 		}
+		toDistribution(q.SitePersonalization)
 	}
 	for d := int(u8() % 3); d > 0; d-- {
 		n := int(u8()%4) + 1
@@ -47,12 +50,27 @@ func decodeQuery(data []byte) (Query, []byte) {
 		for i := range v {
 			v[i] = f64()
 		}
+		toDistribution(v)
 		if q.DocPersonalization == nil {
 			q.DocPersonalization = make(map[SiteID]Vector)
 		}
 		q.DocPersonalization[SiteID(u8()%5)] = v
 	}
 	return q, data
+}
+
+// toDistribution scales v in place to unit mass when its mass is finite
+// and positive; anything else stays as decoded for validate to reject.
+func toDistribution(v Vector) {
+	var mass float64
+	for _, x := range v {
+		mass += x
+	}
+	if mass > 0 && !math.IsInf(mass, 0) {
+		for i := range v {
+			v[i] /= mass
+		}
+	}
 }
 
 // normalizedL1Diff returns ‖û − v̂‖₁ of the L1-normalized vectors, and
