@@ -126,10 +126,13 @@ bench-smoke:
 
 # Bounded fuzz smoke over every fuzz target, one `go test -fuzz` run
 # per target (the flag takes a single target per package). Keeps the
-# corpus-driven guards — COW clone isolation and coalescing-fingerprint
-# safety — from rotting between dedicated fuzz sessions.
+# corpus-driven guards — hostile text and gob graph input, COW clone
+# isolation and coalescing-fingerprint safety — from rotting between
+# dedicated fuzz sessions.
 FUZZTIME ?= 10s
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadText$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeGob$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzCloneCOW$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryFingerprint$$' -fuzztime $(FUZZTIME) -timeout 10m .
 

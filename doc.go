@@ -89,14 +89,13 @@
 //     Update and an Update never waits for queries: a Rank in flight
 //     across the swap completes on the snapshot it started on,
 //     bit-identical to an uncontended run, and the next Rank sees the
-//     new graph. A failed Apply-path Update discards the clone — a
-//     no-op, the engine is exactly as before. Because the served graph
+//     new graph. A failed Update discards the clone — always a no-op,
+//     the engine is exactly as before. Because the served graph
 //     evolves through clones, re-fetch it with DocGraph() after
 //     updating rather than caching the construction-time pointer.
-//   - A nil Apply means the caller already mutated the serving graph in
-//     place, which is only safe with no queries in flight; on that path
-//     a failed Update records the delta's sites so a later Update
-//     rebuilds them too.
+//   - There is one Update path. A nil Apply mutates nothing: the
+//     Update re-publishes the served graph with the listed sites
+//     rebuilt.
 //   - ChangedSites is the caller's contract: it must list every site
 //     whose pages or links changed (appended sites are implicit). Only
 //     those sites' structure is rebuilt — locally their subgraphs,
@@ -106,9 +105,10 @@
 //     distributedly their shards (clean shards stay in the worker
 //     caches and are never re-shipped — Result.Dist.ShardsReused /
 //     ShardsReshipped account for it).
-//   - After an out-of-band mutation (or a failed nil-Apply Update),
-//     queries keep failing with ErrGraphMutated until a successful
-//     Update or a fresh engine — recovery is always explicit.
+//   - An out-of-band mutation of the served graph is detected: queries
+//     fail with ErrGraphMutated, and since the engine cannot know which
+//     sites the edit touched, the next Update rebuilds every site —
+//     recovery is always explicit and never blesses stale structure.
 //
 // Self-healing and restart: DistRetryPolicy.MaxRedials arms a
 // background redial loop — each lost worker is redialed with jittered
@@ -160,6 +160,7 @@
 //
 // The expert-path equivalents are lmm-level: Ranker.Rebuild(changed) /
 // Ranker.RebuildOn(clone, changed) for the structural half and
-// WebConfig.SiteStart/LocalStarts for the warm seeds;
-// UpdateLayeredDocRank remains the one-shot functional refresh.
+// Ranker.RankRefresh over the previous solution
+// (WebConfig.SiteStart/LocalStarts) for the refresh — exactly what
+// Engine.Update runs.
 package lmmrank

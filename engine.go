@@ -104,29 +104,23 @@ type Result struct {
 }
 
 // GraphDelta describes one batch of graph churn for Engine.Update: which
-// sites' content changed, and (optionally) the mutation itself.
+// sites' content changed, and the mutation itself.
 //
-// ChangedSites must list every site whose pages or links changed —
+// ChangedSites must list every site whose pages or links Apply changes —
 // including links *from* its documents to other sites' documents; sites
 // appended beyond the previous roster are implicitly changed. The
 // layered decomposition makes this list the whole cost model: only the
 // listed sites' subgraphs, transition matrices and solvers are rebuilt
 // (and, distributedly, re-shipped), everything else is reused.
 //
-// Apply, when non-nil, receives a copy-on-write working clone of the
-// served graph — not the serving snapshot itself. The engine applies
-// the mutation to the clone, rebuilds off to the side and publishes the
-// result atomically, so in-flight queries keep reading the old,
-// untouched graph; if Apply (or the rebuild) fails, the clone is
-// discarded and the engine is exactly as before — a failed Update is a
-// no-op. Mutate only the *dg passed in; a captured outer pointer still
-// names the old serving graph. After a successful Apply-path Update,
-// re-fetch the serving graph with DocGraph().
-//
-// With a nil Apply the caller has already mutated the serving graph in
-// place; that is only safe when no query was in flight during the
-// mutation (queries read the graph while serving), and the engine keeps
-// serving that same (now rebuilt-in-place) graph.
+// Apply receives a copy-on-write working clone of the served graph —
+// never the serving snapshot itself. The engine rebuilds off to the side
+// and publishes the clone atomically, so in-flight queries keep reading
+// the old, untouched graph. Mutate only the *dg passed in; a captured
+// outer pointer still names the old serving graph, and every successful
+// Update serves a new clone, so re-fetch the graph with DocGraph()
+// afterwards. A nil Apply mutates nothing: the Update re-publishes the
+// served graph with the listed sites rebuilt.
 type GraphDelta struct {
 	ChangedSites []SiteID
 	Apply        func(dg *DocGraph) error
@@ -140,19 +134,23 @@ type GraphDelta struct {
 // exchanges (or by interrupting a blocked one) distributedly —
 // returning ctx.Err().
 //
-// Update makes graph churn a first-class serving operation: it applies
-// a GraphDelta to a copy-on-write clone of the graph, rebuilds only the
-// changed sites' precomputed structure, reuses whatever the backend
-// can (locally only the changed sites' local DocRanks re-solve, clean
-// sites keep theirs verbatim; distributed runs re-ship only the changed
-// shards), and publishes the
+// Update makes graph churn a first-class serving operation, with one
+// path on both backends: it applies a GraphDelta to a copy-on-write
+// clone of the graph, rebuilds only the changed sites' precomputed
+// structure, reuses whatever the backend can (locally only the changed
+// sites' local DocRanks re-solve, clean sites keep theirs verbatim;
+// distributed runs re-ship only the changed shards), and publishes the
 // result as a new immutable snapshot with one atomic pointer store.
 // Rank never waits for Update and Update never waits for Rank:
 // in-flight queries — however slow — complete on the snapshot they
 // started on, bit-identical to an uncontended run, and the first Rank
-// after Update sees the new graph. Mutating the graph *without* Update
-// leaves the engine stale: queries fail with ErrGraphMutated (wrapped)
-// instead of silently serving stale rankings.
+// after Update sees the new graph. A failed Update is always a no-op:
+// nothing is published and the engine serves exactly as before.
+//
+// Mutating the served graph *outside* Update is detected: queries fail
+// with ErrGraphMutated instead of silently serving stale rankings, and
+// since the engine cannot know which sites such an edit touched, the
+// next Update rebuilds every site.
 type Engine interface {
 	Rank(ctx context.Context, q Query) (*Result, error)
 	Update(ctx context.Context, delta GraphDelta) error
@@ -279,6 +277,170 @@ func (q Query) webConfig(ctx context.Context, parallelism int) lmm.WebConfig {
 	}
 }
 
+// snapCore is the part of a serving snapshot the front itself reads,
+// whichever backend built it: the graph, the Ranker precomputed for
+// exactly that graph, and the in-flight table coalescing queries
+// against it. Both backends' snapshots embed it.
+type snapCore struct {
+	dg      *DocGraph
+	rk      *lmm.Ranker
+	flights *flightGroup
+}
+
+func (c *snapCore) core() *snapCore { return c }
+
+// snapshotPtr constrains a front's snapshot type S: *S exposes the
+// snapCore it embeds.
+type snapshotPtr[S any] interface {
+	*S
+	core() *snapCore
+}
+
+// backend is what an engine adds to the serving front: its own query
+// phase and its own rebuild.
+type backend[S any] interface {
+	// reject refuses a valid query this backend cannot serve. It runs
+	// before admission, so a refused query takes no slot and no count.
+	reject(q Query) error
+	// rank answers q against a pinned snapshot whose Ranker is current.
+	rank(ctx context.Context, snap *S, q Query) (*Result, error)
+	// rebuild builds the snapshot that follows cur over dg, rebuilding
+	// the listed sites' structure. The front publishes only what it
+	// returns, so a failed rebuild must leave nothing a later query or
+	// Update could observe.
+	rebuild(ctx context.Context, cur *S, dg *DocGraph, changed []SiteID) (*S, error)
+}
+
+// front is the serving front both engines embed: admission, the serving
+// counters, coalescing, the snapshot pointer and the Update path, over a
+// backend that supplies only rank and rebuild.
+//
+// Serving is lock-free multi-version: the whole serving state lives in
+// one atomic pointer to an immutable snapshot. Rank loads it once and
+// never looks back; Update builds the next snapshot off to the side and
+// publishes it with a single store, so queries never block an Update
+// and an Update never blocks a query.
+type front[S any, P snapshotPtr[S]] struct {
+	be          backend[S]
+	admit       *admitGate
+	coalesce    bool
+	coalesceTol float64
+	stats       servingCounters
+	snap        atomic.Pointer[S]
+	// updateMu serializes Updates against each other; queries never
+	// take it.
+	updateMu sync.Mutex
+}
+
+// publish makes snap the serving state. It gets a fresh flight table,
+// so queries only ever coalesce onto work against their own snapshot.
+func (f *front[S, P]) publish(snap *S) {
+	c := P(snap).core()
+	c.flights = newFlightGroup()
+	c.flights.shared = &f.stats.coalesced
+	f.snap.Store(snap)
+}
+
+// Rank answers one query. Safe for concurrent use; the result is
+// caller-owned; a cancelled ctx aborts mid-computation with ctx.Err().
+// A query neither engine serves, or this backend cannot, fails with
+// ErrUnsupportedQuery before admission. With MaxInFlight or TenantQuota
+// set the call then takes its admission slots (queueing, or failing with
+// ErrOverloaded per RejectOverload); with Coalesce set it may share one
+// computation with concurrent similar queries.
+func (f *front[S, P]) Rank(ctx context.Context, q Query) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := q.validate(); err != nil {
+		return nil, err
+	}
+	if err := f.be.reject(q); err != nil {
+		return nil, err
+	}
+	if err := f.admit.acquire(ctx, q.Tenant); err != nil {
+		if errors.Is(err, ErrOverloaded) {
+			f.stats.overload(q.Tenant)
+		}
+		return nil, err
+	}
+	defer f.admit.release(q.Tenant)
+	f.stats.ranks.Add(1)
+	// One load pins the whole serving state. An Update publishing
+	// mid-query swaps the pointer for *later* queries; this one finishes
+	// on the snapshot it started on.
+	snap := f.snap.Load()
+	c := P(snap).core()
+	// Checked here rather than left to the backend: a query answered
+	// from a cached document layer may never call into the Ranker, which
+	// is where staleness would otherwise surface.
+	if c.rk.Stale() {
+		return nil, ErrGraphMutated
+	}
+	if f.coalesce {
+		if key, ok := q.fingerprint(f.coalesceTol); ok {
+			return c.flights.do(ctx, key, func() (*Result, error) {
+				return f.be.rank(ctx, snap, q)
+			})
+		}
+	}
+	return f.be.rank(ctx, snap, q)
+}
+
+// Update applies one batch of graph churn and publishes the next
+// serving snapshot: delta.Apply (if any) runs against a copy-on-write
+// clone of the served graph, the backend rebuilds the changed sites
+// against the clone, and one pointer store publishes the result.
+// In-flight queries are never drained: they complete on the snapshot
+// they started on while the rebuild proceeds beside them.
+//
+// If the served graph was mutated outside Update, the engine cannot
+// know which sites the edit touched, so this Update rebuilds every site
+// whatever delta.ChangedSites lists. A failed Update — Apply's error, a
+// cancelled ctx, a rebuild error — publishes nothing: the engine serves
+// exactly as before, and a pending out-of-band edit still forces the
+// next Update to rebuild every site.
+func (f *front[S, P]) Update(ctx context.Context, delta GraphDelta) error {
+	f.updateMu.Lock()
+	defer f.updateMu.Unlock()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	cur := f.snap.Load()
+	c := P(cur).core()
+	work := c.dg.CloneCOW()
+	if delta.Apply != nil {
+		if err := delta.Apply(work); err != nil {
+			return fmt.Errorf("lmmrank: update apply: %w", err)
+		}
+	}
+	changed := delta.ChangedSites
+	if c.rk.Stale() {
+		changed = make([]SiteID, work.NumSites())
+		for s := range changed {
+			changed[s] = SiteID(s)
+		}
+	}
+	next, err := f.be.rebuild(ctx, cur, work, changed)
+	if err != nil {
+		return err
+	}
+	f.publish(next)
+	return nil
+}
+
+// DocGraph returns the graph this engine currently serves. Every
+// successful Update publishes a new copy-on-write clone, so the pointer
+// changes across Updates — re-fetch it after updating rather than
+// caching the construction-time pointer.
+func (f *front[S, P]) DocGraph() *DocGraph { return P(f.snap.Load()).core().dg }
+
+// ServingStats returns a point-in-time copy of the engine's cumulative
+// serving counters: admitted queries, admission rejections (total and
+// per tenant), coalesced shares and top-k index serves (always 0 on
+// DistEngine, which keeps no index).
+func (f *front[S, P]) ServingStats() ServingStats { return f.stats.snapshot() }
+
 // docLayer is the default-configuration document layer of one serving
 // snapshot: the uniform SiteRank and every site's local DocRank at the
 // default damping, tolerance and iteration budget. By the Partition
@@ -298,17 +460,14 @@ type docLayer struct {
 	seed bool
 }
 
-// engineSnapshot is one immutable serving state of a LocalEngine: a
-// graph, the Ranker built for exactly that graph, the pooled
-// scratch-private clones, the document layer solved on that graph, and
-// the in-flight table coalescing identical queries against it.
+// engineSnapshot is one immutable serving state of a LocalEngine: the
+// snapCore (graph, Ranker, flight table), the pooled scratch-private
+// clones of the Ranker, and the document layer solved on that graph.
 // Everything a query touches lives here, so a query that loaded a
 // snapshot is completely insulated from any later Update.
 type engineSnapshot struct {
-	dg      *DocGraph
-	base    *lmm.Ranker
-	pool    *sync.Pool
-	flights *flightGroup
+	snapCore
+	pool *sync.Pool
 	// topk is the maintained top-k index over the layer's locals (nil
 	// unless EngineOptions.TopKIndex): immutable like everything else
 	// here, and sharing clean sites' posting lists with the previous
@@ -324,12 +483,10 @@ type engineSnapshot struct {
 
 func newEngineSnapshot(dg *DocGraph, rk *lmm.Ranker, layer *docLayer, topk *topkIndex) *engineSnapshot {
 	snap := &engineSnapshot{
-		dg:      dg,
-		base:    rk,
-		pool:    newRankerPool(rk),
-		flights: newFlightGroup(),
-		topk:    topk,
-		fill:    make(chan struct{}, 1),
+		snapCore: snapCore{dg: dg, rk: rk},
+		pool:     newRankerPool(rk),
+		topk:     topk,
+		fill:     make(chan struct{}, 1),
 	}
 	if layer != nil {
 		snap.layer.Store(layer)
@@ -352,37 +509,18 @@ func newEngineSnapshot(dg *DocGraph, rk *lmm.Ranker, layer *docLayer, topk *topk
 // the cached vectors. Queries with a custom damping, tolerance or
 // iteration budget solve every layer.
 //
-// Serving is lock-free multi-version: the whole serving state lives in
-// one atomic pointer to an immutable snapshot. Update builds the next
-// snapshot off to the side — the GraphDelta applies to a copy-on-write
-// clone that shares every clean site's adjacency with the old graph by
-// pointer, and the refresh re-solves only the changed sites' document
-// layers while clean sites keep their vectors verbatim — and publishes
-// it with a single store. Queries never block an Update and an Update
-// never blocks a query: a straggler that started before the swap
-// finishes on its old snapshot, bit-identical to an uncontended run.
-// MaxInFlight/RejectOverload add an admission cap in front and Coalesce
-// folds concurrent identical queries into one computation (see
+// Update refreshes that layer: only the changed sites' structure
+// rebuilds and only their local DocRanks re-solve (warm-started from the
+// previous layer), every clean site keeps its vector verbatim, and the
+// site layer re-solves warm. Rankings served after Update agree with a
+// cold rebuild to solver tolerance (pinned < 1e-9 in the tests). An
+// index engine additionally patches only the changed sites' posting
+// lists. MaxInFlight/RejectOverload add an admission cap in front and
+// Coalesce folds concurrent identical queries into one computation (see
 // EngineOptions).
 type LocalEngine struct {
+	front[engineSnapshot, *engineSnapshot]
 	parallelism int
-	admit       *admitGate
-	coalesce    bool
-	coalesceTol float64
-	stats       servingCounters
-
-	// snap is the serving state; Rank loads it once and never looks
-	// back. Only Update stores it.
-	snap atomic.Pointer[engineSnapshot]
-
-	// updateMu serializes Updates against each other (queries don't
-	// take it). dirty accumulates changed sites across failed Updates:
-	// on the nil-Apply path the graph mutates before the rebuild can
-	// fail, so the sites stay recorded and the next successful Update
-	// rebuilds them too — otherwise a later Update listing only its own
-	// sites would bless the earlier edit's stale subgraphs.
-	updateMu sync.Mutex
-	dirty    map[SiteID]bool
 }
 
 var _ Engine = (*LocalEngine)(nil)
@@ -397,24 +535,21 @@ func newRankerPool(base *lmm.Ranker) *sync.Pool {
 // NewLocalEngine validates dg and precomputes the serving structure:
 // the SiteGraph and every local subgraph with their transition matrices
 // and PageRank chains, built eagerly (in parallel) so that queries only
-// ever read shared state. The graph is captured by reference; mutate it
-// only through Update (or build a new engine) — a mutation outside
-// Update turns every later query into ErrGraphMutated. After an
-// Apply-path Update the engine serves an evolved copy of the graph;
-// read it back with DocGraph().
+// ever read shared state. The graph is captured by reference; change it
+// through Update (or build a new engine) — a mutation outside Update
+// turns every later query into ErrGraphMutated until the next Update.
+// After an Update the engine serves an evolved copy of the graph; read
+// it back with DocGraph().
 func NewLocalEngine(dg *DocGraph, opts EngineOptions) (*LocalEngine, error) {
 	rk, err := lmm.NewRanker(dg, lmm.RankerOptions{SiteGraph: opts.SiteGraph})
 	if err != nil {
 		return nil, err
 	}
 	rk.Prepare()
-	e := &LocalEngine{
-		parallelism: opts.Parallelism,
-		admit:       newAdmitGate(opts.MaxInFlight, opts.TenantQuota, opts.RejectOverload),
-		coalesce:    opts.Coalesce,
-		coalesceTol: opts.CoalesceTol,
-		dirty:       make(map[SiteID]bool),
-	}
+	e := &LocalEngine{parallelism: opts.Parallelism}
+	e.be = e
+	e.admit = newAdmitGate(opts.MaxInFlight, opts.TenantQuota, opts.RejectOverload)
+	e.coalesce, e.coalesceTol = opts.Coalesce, opts.CoalesceTol
 	var (
 		layer *docLayer
 		topk  *topkIndex
@@ -430,9 +565,7 @@ func NewLocalEngine(dg *DocGraph, opts EngineOptions) (*LocalEngine, error) {
 		layer.seed = true
 		topk = newTopkIndex(dg, layer.locals)
 	}
-	snap := newEngineSnapshot(dg, rk, layer, topk)
-	snap.flights.shared = &e.stats.coalesced
-	e.snap.Store(snap)
+	e.publish(newEngineSnapshot(dg, rk, layer, topk))
 	return e, nil
 }
 
@@ -490,84 +623,23 @@ func (e *LocalEngine) loadLayer(ctx context.Context, snap *engineSnapshot) (*doc
 	return l, nil
 }
 
-// unionSites returns dirty ∪ changed as a slice without mutating dirty —
-// the changed list a rebuild must honor so sites from earlier failed
-// Updates are not forgotten, computed non-destructively so a rebuild
-// that then fails leaves the pending set exactly as it was.
-func unionSites(dirty map[SiteID]bool, changed []SiteID) []SiteID {
-	out := make([]SiteID, 0, len(dirty)+len(changed))
-	for s := range dirty {
-		out = append(out, s)
-	}
-	for _, s := range changed {
-		if !dirty[s] {
-			out = append(out, s)
-		}
-	}
-	return out
-}
+// reject refuses nothing: LocalEngine serves every valid query.
+func (e *LocalEngine) reject(Query) error { return nil }
 
-// Update applies one batch of graph churn and publishes a refreshed
-// serving snapshot: delta.Apply (if any) runs against a copy-on-write
-// clone of the served graph, only the changed sites'
-// subgraphs/matrices/solvers are rebuilt, and a refresh solve builds the
-// new snapshot's document layer — the changed sites re-solve
-// (warm-started from the previous layer), every clean site keeps its
-// vector verbatim, and the site layer re-solves warm. Rankings served
-// after Update agree with a cold rebuild to solver tolerance (pinned
-// < 1e-9 in the tests). In-flight queries are never drained: they
-// complete on the snapshot they started on while the rebuild proceeds
-// beside them. Both engine flavours refresh the same way; an index
-// engine additionally patches only the changed sites' posting lists.
-//
-// On the Apply path an error leaves the engine exactly as before — the
-// clone is discarded, nothing was mutated, a failed Update is a no-op.
-// On the nil-Apply path the caller mutated the serving graph before
-// calling, so a failure leaves queries failing with ErrGraphMutated
-// until a successful Update; the delta's sites stay recorded either
-// way on that path, so a later Update rebuilds them too.
-func (e *LocalEngine) Update(ctx context.Context, delta GraphDelta) error {
-	e.updateMu.Lock()
-	defer e.updateMu.Unlock()
-	cur := e.snap.Load()
-	if delta.Apply == nil {
-		// The serving graph is already mutated: record the sites before
-		// anything fallible (even the ctx check) can return.
-		for _, s := range delta.ChangedSites {
-			e.dirty[s] = true
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return e.rebuildAndPublish(ctx, cur, cur.dg, unionSites(e.dirty, nil))
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	work := cur.dg.CloneCOW()
-	if err := delta.Apply(work); err != nil {
-		// The clone dies here; the serving graph never changed and the
-		// delta's sites are not recorded — nothing needs rebuilding.
-		return fmt.Errorf("lmmrank: update apply: %w", err)
-	}
-	return e.rebuildAndPublish(ctx, cur, work, unionSites(e.dirty, delta.ChangedSites))
-}
-
-// rebuildAndPublish builds the next snapshot over dg (the old graph on
-// the nil-Apply path, a mutated COW clone otherwise) and publishes it.
-// The pending-dirty set clears only on success.
-func (e *LocalEngine) rebuildAndPublish(ctx context.Context, cur *engineSnapshot, dg *DocGraph, changed []SiteID) error {
-	next, err := cur.base.RebuildOn(dg, changed)
+// rebuild builds the next snapshot over dg: the changed sites' structure
+// rebuilds, and a refresh solve builds its document layer from cur's —
+// changed sites re-solve warm, clean sites keep their vectors. A
+// snapshot no query has filled yet refreshes cold; changed sites whose
+// roster grew start cold automatically (seeds are shape-checked hints).
+func (e *LocalEngine) rebuild(ctx context.Context, cur *engineSnapshot, dg *DocGraph, changed []SiteID) (*engineSnapshot, error) {
+	next, err := cur.rk.RebuildOn(dg, changed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	next.Prepare()
-	// A snapshot no query has filled yet refreshes cold; changed sites
-	// whose roster grew start cold automatically (seeds are shape-checked
-	// hints).
 	layer, err := e.solveLayer(ctx, next.Share(), cur.layer.Load(), changed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	layer.seed = true
 	var topk *topkIndex
@@ -578,45 +650,19 @@ func (e *LocalEngine) rebuildAndPublish(ctx context.Context, cur *engineSnapshot
 		}
 		topk = cur.topk.patch(dg, layer.locals, changedSet)
 	}
-	snap := newEngineSnapshot(dg, next, layer, topk)
-	snap.flights.shared = &e.stats.coalesced
-	e.snap.Store(snap)
-	clear(e.dirty)
-	return nil
+	return newEngineSnapshot(dg, next, layer, topk), nil
 }
 
-// Rank answers one query. Safe for concurrent use; the result is
-// caller-owned; a cancelled ctx aborts mid-iteration with ctx.Err().
-// With MaxInFlight set the call first takes an admission slot (queueing
-// or failing with ErrOverloaded per RejectOverload); with Coalesce set
-// it may share one computation with concurrent identical queries.
-func (e *LocalEngine) Rank(ctx context.Context, q Query) (*Result, error) {
-	if err := ctx.Err(); err != nil {
+// rank runs one query against a pinned snapshot.
+func (e *LocalEngine) rank(ctx context.Context, snap *engineSnapshot, q Query) (*Result, error) {
+	if !q.defaultSolve() {
+		return e.rankFull(ctx, snap, q)
+	}
+	layer, err := e.loadLayer(ctx, snap)
+	if err != nil {
 		return nil, err
 	}
-	if err := q.validate(); err != nil {
-		return nil, err
-	}
-	if err := e.admit.acquire(ctx, q.Tenant); err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			e.stats.overload(q.Tenant)
-		}
-		return nil, err
-	}
-	defer e.admit.release(q.Tenant)
-	e.stats.ranks.Add(1)
-	// One load pins the whole serving state: graph, core, pool, layer.
-	// An Update publishing mid-query swaps the pointer for *later*
-	// queries; this one finishes on the snapshot it started on.
-	snap := e.snap.Load()
-	if e.coalesce {
-		if key, ok := q.fingerprint(e.coalesceTol); ok {
-			return snap.flights.do(ctx, key, func() (*Result, error) {
-				return e.rankSnap(ctx, snap, q)
-			})
-		}
-	}
-	return e.rankSnap(ctx, snap, q)
+	return e.rankOver(ctx, snap, layer, q)
 }
 
 // defaultSolve reports whether q runs at the default damping, tolerance
@@ -635,23 +681,6 @@ func (q Query) defaultSolve() bool {
 func (snap *engineSnapshot) indexEligible(q Query) bool {
 	return snap.topk != nil && q.TopK > 0 && !q.ThreeLayer &&
 		q.DocPersonalization == nil && !q.WantLocalRanks && q.defaultSolve()
-}
-
-// rankSnap runs one query against a pinned snapshot.
-func (e *LocalEngine) rankSnap(ctx context.Context, snap *engineSnapshot, q Query) (*Result, error) {
-	// Checked up front: a query over a cached layer may never call into
-	// the Ranker, which is where staleness would otherwise surface.
-	if snap.base.Stale() {
-		return nil, ErrGraphMutated
-	}
-	if !q.defaultSolve() {
-		return e.rankFull(ctx, snap, q)
-	}
-	layer, err := e.loadLayer(ctx, snap)
-	if err != nil {
-		return nil, err
-	}
-	return e.rankOver(ctx, snap, layer, q)
 }
 
 // rankOver answers a default-config query over the snapshot's document
@@ -783,17 +812,6 @@ func (e *LocalEngine) rankFull(ctx context.Context, snap *engineSnapshot, q Quer
 	return res, nil
 }
 
-// DocGraph returns the graph this engine currently serves. Apply-path
-// Updates evolve the graph through copy-on-write clones, so the
-// returned pointer changes across Updates — re-fetch after updating
-// rather than caching the construction-time pointer.
-func (e *LocalEngine) DocGraph() *DocGraph { return e.snap.Load().dg }
-
-// ServingStats returns a point-in-time copy of the engine's cumulative
-// serving counters: admitted queries, admission rejections (total and
-// per tenant), coalesced shares and top-k index serves.
-func (e *LocalEngine) ServingStats() ServingStats { return e.stats.snapshot() }
-
 // cloneVectors deep-copies a slice of score vectors.
 func cloneVectors(vs []Vector) []Vector {
 	out := make([]Vector, len(vs))
@@ -822,8 +840,7 @@ func normalizeCtxErr(ctx context.Context, err error) error {
 }
 
 // distSnapshot is one immutable serving state of a DistEngine: the
-// graph, the structural Ranker built for exactly that graph, the
-// in-flight table coalescing identical queries against it, and — when a
+// snapCore (graph, structural Ranker, flight table) and — when a
 // partition strategy is configured — the pinned site→shard assignment
 // every query under this snapshot serves with, plus the cut fraction
 // measured when that assignment was last (re)computed. baseCut is the
@@ -831,9 +848,7 @@ func normalizeCtxErr(ctx context.Context, err error) error {
 // it to decide whether churn has degraded the placement enough to
 // repartition online.
 type distSnapshot struct {
-	dg      *DocGraph
-	rk      *lmm.Ranker
-	flights *flightGroup
+	snapCore
 	asg     partition.Assignment
 	baseCut float64
 }
@@ -848,20 +863,19 @@ type distSnapshot struct {
 // LocalEngine replica next to the coordinator instead, or turn on
 // Coalesce so identical concurrent queries share one wire run.
 //
-// Serving state is an atomic snapshot exactly as on LocalEngine: an
-// Update rebuilds against a copy-on-write clone and publishes with one
-// pointer store, never waiting on queries; a Rank that started before
-// the swap completes against its old Ranker (whose graph never
-// mutated). The wire itself still serializes at the coordinator.
+// It shares LocalEngine's serving front — admission, coalescing, the
+// atomic snapshot and the Update path. Its rebuild rebuilds the changed
+// sites' structure and migrates the coordinator's digest memo, so the
+// next Rank re-hashes and, through the workers' digest caches, re-ships
+// only the changed shards: a 1-site edit on an N-site web moves ~1/N of
+// a cold load's bytes (Result.Dist.ShardsReused / ShardsReshipped
+// account for it per run). A Rank that started before an Update's swap
+// completes against its old Ranker, whose graph never mutated; the wire
+// itself still serializes at the coordinator.
 type DistEngine struct {
+	front[distSnapshot, *distSnapshot]
 	coord        *coordinator.Coordinator
 	cfg          coordinator.Config
-	admit        *admitGate
-	coalesce     bool
-	stats        servingCounters
-	snap         atomic.Pointer[distSnapshot]
-	updateMu     sync.Mutex
-	dirty        map[SiteID]bool
 	repartitions atomic.Int64
 }
 
@@ -876,23 +890,19 @@ var _ Engine = (*DistEngine)(nil)
 // (MaxInFlight, TenantQuota, RejectOverload, Coalesce, CoalesceTol);
 // its per-query fields —
 // Damping, Tol, MaxIter, SitePersonalization, ThreeLayer, DomainOf —
-// are ignored and overwritten from each Query. Mutate the graph only
-// through Update (or build a new engine); a mutation outside Update
-// turns every later query into ErrGraphMutated.
+// are ignored and overwritten from each Query. Change the graph through
+// Update (or build a new engine); a mutation outside Update turns every
+// later query into ErrGraphMutated until the next Update.
 func NewDistEngine(cl *Cluster, dg *DocGraph, cfg DistConfig) (*DistEngine, error) {
 	rk, err := lmm.NewRanker(dg, lmm.RankerOptions{SiteGraph: cfg.SiteGraph})
 	if err != nil {
 		return nil, err
 	}
-	e := &DistEngine{
-		coord:    cl.Coord,
-		cfg:      cfg,
-		admit:    newAdmitGate(cfg.MaxInFlight, cfg.TenantQuota, cfg.RejectOverload),
-		coalesce: cfg.Coalesce,
-		dirty:    make(map[SiteID]bool),
-	}
-	snap := &distSnapshot{dg: dg, rk: rk, flights: newFlightGroup()}
-	snap.flights.shared = &e.stats.coalesced
+	e := &DistEngine{coord: cl.Coord, cfg: cfg}
+	e.be = e
+	e.admit = newAdmitGate(cfg.MaxInFlight, cfg.TenantQuota, cfg.RejectOverload)
+	e.coalesce, e.coalesceTol = cfg.Coalesce, cfg.CoalesceTol
+	snap := &distSnapshot{snapCore: snapCore{dg: dg, rk: rk}}
 	// With a partition strategy configured the engine pins the
 	// assignment per snapshot: every query serves under the same
 	// placement (stable digest caches) and Update measures cut-edge
@@ -901,61 +911,28 @@ func NewDistEngine(cl *Cluster, dg *DocGraph, cfg DistConfig) (*DistEngine, erro
 		snap.asg = cfg.Partition.Partition(dg, cl.Coord.NumWorkers())
 		snap.baseCut = partition.CutFraction(rk.SiteGraph(), snap.asg.Owner)
 	}
-	e.snap.Store(snap)
+	e.publish(snap)
 	return e, nil
 }
 
-// Update applies one batch of graph churn to the distributed engine:
-// delta.Apply (if any) runs against a copy-on-write clone, the Ranker
-// is rebuilt incrementally (clean sites keep their precomputed
-// structure), and the coordinator's digest memo is migrated so the next
-// Rank re-hashes only the changed shards — which, through the workers'
-// digest caches, then re-ships only the changed shards: a 1-site edit
-// on an N-site web moves ~1/N of a cold load's bytes
-// (Result.Dist.ShardsReused / ShardsReshipped account for it per run).
-//
-// Failure semantics match LocalEngine.Update: an Apply-path error is a
-// no-op (the clone is discarded, nothing re-ships, nothing is marked
-// dirty); a nil-Apply failure records the sites and queries fail with
-// ErrGraphMutated until a successful Update — the wire never carries
-// stale shards.
-func (e *DistEngine) Update(ctx context.Context, delta GraphDelta) error {
-	e.updateMu.Lock()
-	defer e.updateMu.Unlock()
-	cur := e.snap.Load()
-	if delta.Apply == nil {
-		for _, s := range delta.ChangedSites {
-			e.dirty[s] = true
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return e.rebuildAndPublish(cur, cur.dg, unionSites(e.dirty, nil))
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	work := cur.dg.CloneCOW()
-	if err := delta.Apply(work); err != nil {
-		return fmt.Errorf("lmmrank: update apply: %w", err)
-	}
-	return e.rebuildAndPublish(cur, work, unionSites(e.dirty, delta.ChangedSites))
-}
-
-func (e *DistEngine) rebuildAndPublish(cur *distSnapshot, dg *DocGraph, changed []SiteID) error {
+// rebuild builds the next snapshot over dg: the changed sites'
+// structure rebuilds, the coordinator's digest memo migrates to the new
+// Ranker, and the placement carries over (or repartitions). The memo
+// migration cannot be undone, so ctx is checked just before it.
+func (e *DistEngine) rebuild(ctx context.Context, cur *distSnapshot, dg *DocGraph, changed []SiteID) (*distSnapshot, error) {
 	next, err := cur.rk.RebuildOn(dg, changed)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	e.coord.RefreshPrepared(cur.rk, next, changed)
-	snap := &distSnapshot{dg: dg, rk: next, flights: newFlightGroup()}
-	snap.flights.shared = &e.stats.coalesced
+	snap := &distSnapshot{snapCore: snapCore{dg: dg, rk: next}}
 	if len(cur.asg.Owner) > 0 {
 		snap.asg, snap.baseCut = e.carryAssignment(cur, dg, next, changed)
 	}
-	e.snap.Store(snap)
-	clear(e.dirty)
-	return nil
+	return snap, nil
 }
 
 // carryAssignment decides the next snapshot's placement after churn.
@@ -996,41 +973,17 @@ func (e *DistEngine) PartitionOwners() []int {
 	return append([]int(nil), snap.asg.Owner...)
 }
 
-// Rank answers one query against the fleet. The context's deadline
-// propagates into every wire exchange and a cancellation aborts the
-// in-flight round, returning ctx.Err(). Admission and coalescing
-// follow the cfg knobs (see NewDistEngine).
-func (e *DistEngine) Rank(ctx context.Context, q Query) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := q.validate(); err != nil {
-		return nil, err
-	}
+// reject refuses document-layer personalization: per-site teleports
+// are not part of the distributed wire protocol.
+func (e *DistEngine) reject(q Query) error {
 	if q.DocPersonalization != nil {
-		return nil, fmt.Errorf("%w: document-layer personalization is not part of the distributed wire protocol; use LocalEngine", ErrUnsupportedQuery)
+		return fmt.Errorf("%w: document-layer personalization is not part of the distributed wire protocol; use LocalEngine", ErrUnsupportedQuery)
 	}
-	if err := e.admit.acquire(ctx, q.Tenant); err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			e.stats.overload(q.Tenant)
-		}
-		return nil, err
-	}
-	defer e.admit.release(q.Tenant)
-	e.stats.ranks.Add(1)
-	snap := e.snap.Load()
-	if e.coalesce {
-		if key, ok := q.fingerprint(e.cfg.CoalesceTol); ok {
-			return snap.flights.do(ctx, key, func() (*Result, error) {
-				return e.rankSnap(ctx, snap, q)
-			})
-		}
-	}
-	return e.rankSnap(ctx, snap, q)
+	return nil
 }
 
-// rankSnap runs one distributed query against a pinned snapshot.
-func (e *DistEngine) rankSnap(ctx context.Context, snap *distSnapshot, q Query) (*Result, error) {
+// rank runs one distributed query against a pinned snapshot.
+func (e *DistEngine) rank(ctx context.Context, snap *distSnapshot, q Query) (*Result, error) {
 	cfg := e.cfg
 	cfg.Damping = q.Damping
 	cfg.Tol = q.Tol
@@ -1069,12 +1022,3 @@ func (e *DistEngine) rankSnap(ctx context.Context, snap *distSnapshot, q Query) 
 	}
 	return res, nil
 }
-
-// DocGraph returns the graph this engine currently serves; as on
-// LocalEngine, the pointer changes across Apply-path Updates.
-func (e *DistEngine) DocGraph() *DocGraph { return e.snap.Load().dg }
-
-// ServingStats returns a point-in-time copy of the engine's cumulative
-// serving counters (TopKIndexServes stays 0 — the maintained index is a
-// LocalEngine feature).
-func (e *DistEngine) ServingStats() ServingStats { return e.stats.snapshot() }

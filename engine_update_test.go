@@ -132,7 +132,8 @@ func TestEngineMutationWithoutUpdateFails(t *testing.T) {
 	if _, err := eng.Rank(ctx, Query{}); !errors.Is(err, ErrGraphMutated) {
 		t.Fatalf("Rank after external mutation: err = %v, want ErrGraphMutated", err)
 	}
-	// Update with the mutation already applied (nil Apply) recovers.
+	// An Update with no Apply recovers: the stale snapshot makes it
+	// rebuild every site.
 	if err := eng.Update(ctx, GraphDelta{ChangedSites: []SiteID{site}}); err != nil {
 		t.Fatalf("recovery Update: %v", err)
 	}
@@ -233,13 +234,12 @@ func TestEngineFailedApplyUpdateIsNoOp(t *testing.T) {
 	}
 }
 
-// TestEngineFailedNilApplyUpdateKeepsSitesDirty pins the one remaining
-// dirty-tracking path: on the nil-Apply path the serving graph is
-// already mutated when Update is called, so a failed Update must keep
-// the delta's sites recorded, and the next successful Update — listing
-// only its *own* changed sites — must rebuild the earlier ones too.
-// Forgetting them would bless the pre-edit subgraphs into the new core
-// and serve silently stale rankings.
+// TestEngineFailedNilApplyUpdateKeepsSitesDirty pins recovery after an
+// out-of-band edit whose first recovery Update fails: the failed Update
+// publishes nothing, so queries keep failing with ErrGraphMutated, and
+// the next successful Update — listing only its *own* changed sites —
+// must still rebuild the edited site. Forgetting it would bless the
+// pre-edit subgraph into the new core and serve silently stale rankings.
 func TestEngineFailedNilApplyUpdateKeepsSitesDirty(t *testing.T) {
 	web := churnTestWeb()
 	dg := web.Graph
@@ -253,8 +253,7 @@ func TestEngineFailedNilApplyUpdateKeepsSitesDirty(t *testing.T) {
 	}
 
 	// The caller mutates the serving graph directly, then its recovery
-	// Update fails (already-cancelled context): site 3 must stay
-	// recorded as dirty.
+	// Update fails (already-cancelled context): the engine stays stale.
 	editSite(t, dg, 3)
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
@@ -434,5 +433,143 @@ func TestDistEngineUpdate(t *testing.T) {
 	}
 	if _, err := eng.Rank(ctx, Query{}); err != nil {
 		t.Errorf("Rank after recovery Update: %v", err)
+	}
+}
+
+// TestEngineOutOfBandEditThenApplyUpdate pins the stale-snapshot rule on
+// both engines: site 3 is edited behind the engine's back, then an
+// Apply-path Update edits site 5 and lists only site 5. The engine
+// cannot know which sites the out-of-band edit touched, so the Update
+// must rebuild every site — listing only its own would bless site 3's
+// pre-edit subgraph (and, distributedly, its pre-edit shard) into the
+// new snapshot and serve a silently stale ranking.
+func TestEngineOutOfBandEditThenApplyUpdate(t *testing.T) {
+	ctx := context.Background()
+	q := Query{Tol: 1e-11}
+	delta := GraphDelta{
+		ChangedSites: []SiteID{5},
+		Apply: func(dg *DocGraph) error {
+			editSite(t, dg, 5)
+			return nil
+		},
+	}
+	check := func(t *testing.T, eng Engine, served func() *DocGraph) {
+		t.Helper()
+		if _, err := eng.Rank(ctx, q); err != nil {
+			t.Fatalf("pre-churn Rank: %v", err)
+		}
+		editSite(t, served(), 3) // behind the engine's back
+		if err := eng.Update(ctx, delta); err != nil {
+			t.Fatalf("Update: %v", err)
+		}
+		got, err := eng.Rank(ctx, q)
+		if err != nil {
+			t.Fatalf("Rank after Update: %v", err)
+		}
+		coldEng, err := NewLocalEngine(served(), EngineOptions{})
+		if err != nil {
+			t.Fatalf("cold NewLocalEngine: %v", err)
+		}
+		want, err := coldEng.Rank(ctx, q)
+		if err != nil {
+			t.Fatalf("cold Rank: %v", err)
+		}
+		if d := got.DocRank.L1Diff(want.DocRank); d >= 1e-9 {
+			t.Errorf("‖served − cold‖₁ = %g, want < 1e-9 (site 3's edit was dropped?)", d)
+		}
+	}
+
+	t.Run("local", func(t *testing.T) {
+		eng, err := NewLocalEngine(churnTestWeb().Graph, EngineOptions{})
+		if err != nil {
+			t.Fatalf("NewLocalEngine: %v", err)
+		}
+		check(t, eng, eng.DocGraph)
+	})
+	t.Run("dist", func(t *testing.T) {
+		cl, err := StartCluster(3)
+		if err != nil {
+			t.Fatalf("StartCluster: %v", err)
+		}
+		defer cl.Close()
+		eng, err := NewDistEngine(cl, churnTestWeb().Graph, DistConfig{})
+		if err != nil {
+			t.Fatalf("NewDistEngine: %v", err)
+		}
+		check(t, eng, eng.DocGraph)
+	})
+}
+
+// TestDistEngineFailedApplyUpdateIsNoOp is the distributed twin of
+// TestEngineFailedApplyUpdateIsNoOp: an Apply that cancels the update
+// context makes Update return exactly ctx.Err() with nothing published —
+// the serving graph is unchanged and the next Rank is bitwise the
+// pre-update one. Reissuing the delta then succeeds and matches a cold
+// engine over the evolved serving graph.
+func TestDistEngineFailedApplyUpdateIsNoOp(t *testing.T) {
+	web := churnTestWeb()
+	dg := web.Graph
+	ctx := context.Background()
+	q := Query{Tol: 1e-11}
+
+	cl, err := StartCluster(2)
+	if err != nil {
+		t.Fatalf("StartCluster: %v", err)
+	}
+	defer cl.Close()
+	eng, err := NewDistEngine(cl, dg, DistConfig{})
+	if err != nil {
+		t.Fatalf("NewDistEngine: %v", err)
+	}
+	pre, err := eng.Rank(ctx, q)
+	if err != nil {
+		t.Fatalf("pre-churn Rank: %v", err)
+	}
+
+	cctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	delta := GraphDelta{
+		ChangedSites: []SiteID{3},
+		Apply: func(dg *DocGraph) error {
+			editSite(t, dg, 3)
+			cancel()
+			return nil
+		},
+	}
+	if err := eng.Update(cctx, delta); err != context.Canceled {
+		t.Fatalf("cancelled Update: err = %v, want exactly context.Canceled", err)
+	}
+	if eng.DocGraph() != dg {
+		t.Fatal("failed Update swapped the serving graph")
+	}
+	post, err := eng.Rank(ctx, q)
+	if err != nil {
+		t.Fatalf("Rank after failed Update: %v", err)
+	}
+	if !bitEqual(post.DocRank, pre.DocRank) {
+		t.Errorf("failed Update moved the ranking by %g, want bitwise no-op", post.DocRank.L1Diff(pre.DocRank))
+	}
+
+	delta.Apply = func(dg *DocGraph) error {
+		editSite(t, dg, 3)
+		return nil
+	}
+	if err := eng.Update(ctx, delta); err != nil {
+		t.Fatalf("reissued Update: %v", err)
+	}
+	got, err := eng.Rank(ctx, q)
+	if err != nil {
+		t.Fatalf("Rank after reissued Update: %v", err)
+	}
+	coldEng, err := NewLocalEngine(eng.DocGraph(), EngineOptions{})
+	if err != nil {
+		t.Fatalf("cold NewLocalEngine: %v", err)
+	}
+	want, err := coldEng.Rank(ctx, q)
+	if err != nil {
+		t.Fatalf("cold Rank: %v", err)
+	}
+	if d := got.DocRank.L1Diff(want.DocRank); d >= 1e-9 {
+		t.Errorf("‖reissued − cold‖₁ = %g, want < 1e-9", d)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lmmrank/internal/graph"
+	"lmmrank/internal/matrix"
 )
 
 func benchChurnWeb(b *testing.B) *graph.DocGraph {
@@ -33,21 +34,40 @@ func BenchmarkGlobalPageRank(b *testing.B) {
 }
 
 // BenchmarkIncrementalUpdate compares churn handling: one site changes,
-// incremental update vs full recomputation.
+// and the incremental refresh Engine.Update runs (Rebuild of that site
+// plus RankRefresh over the previous solution) races a full
+// recomputation.
 func BenchmarkIncrementalUpdate(b *testing.B) {
 	dg := benchChurnWeb(b)
 	cfg := WebConfig{Tol: 1e-9}
-	prev, err := LayeredDocRank(dg, cfg)
+	rk, err := NewRanker(dg, RankerOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	rk.Prepare()
+	prev, err := rk.Rank(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	seeded := cfg
+	seeded.SiteStart = prev.SiteRank.Clone()
+	seeded.LocalStarts = make([]matrix.Vector, len(prev.LocalRanks))
+	for s, lr := range prev.LocalRanks {
+		seeded.LocalStarts[s] = lr.Clone()
+	}
 	docs := dg.Sites[3].Docs
 	dg.G.AddLink(int(docs[0]), int(docs[len(docs)-1]))
+	dg.G.Dedupe()
+	changed := []graph.SiteID{3}
 
 	b.Run("incremental", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := UpdateLayeredDocRank(dg, prev, []graph.SiteID{3}, cfg); err != nil {
+			next, err := rk.Rebuild(changed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := next.RankRefresh(changed, seeded); err != nil {
 				b.Fatal(err)
 			}
 		}

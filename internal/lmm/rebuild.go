@@ -1,10 +1,16 @@
 package lmm
 
 import (
+	"errors"
 	"fmt"
 
 	"lmmrank/internal/graph"
 )
+
+// ErrStaleResult is returned (wrapped) when a rebuild cannot reuse a
+// site's precomputed structure: the site's document roster changed but
+// the site was not listed as changed, or sites were removed.
+var ErrStaleResult = errors.New("lmm: previous result is stale")
 
 // Rebuild returns a new Ranker over this Ranker's (since mutated)
 // DocGraph, rebuilding only the listed sites' precomputed structure.
@@ -22,7 +28,7 @@ import (
 // its exact document roster — otherwise ErrStaleResult — but Rebuild
 // cannot verify edge sets cheaply, so an unlisted edge change silently
 // yields a Ranker with a stale subgraph for that site: the caller owns
-// the changed list, exactly as with UpdateLayeredDocRank.
+// the changed list.
 //
 // The old Ranker keeps working over the shared structure for the graph
 // content it was built against, but its graph has mutated, so its

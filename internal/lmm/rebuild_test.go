@@ -2,6 +2,7 @@ package lmm
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -324,5 +325,221 @@ func TestWarmStartSeedsCutIterations(t *testing.T) {
 	}
 	if d := bres.DocRank.L1Diff(cres.DocRank); d >= 1e-9 {
 		t.Errorf("bad-shape seeds shifted the ranking by %g", d)
+	}
+}
+
+// The tests below pin the lmm half of Engine.Update: RebuildOn over a
+// changed graph, then RankRefresh over the previous solution.
+
+// churnWeb builds a deterministic 8-site web for update tests.
+func churnWeb(t *testing.T) *graph.DocGraph {
+	t.Helper()
+	return randomWeb(rand.New(rand.NewSource(77)), 8, 80)
+}
+
+// churnStart returns the update tests' starting point: a Ranker over
+// dg and its retained solution at cfg.
+func churnStart(t *testing.T, dg *graph.DocGraph, cfg WebConfig) (*Ranker, *WebResult) {
+	t.Helper()
+	rk, err := NewRanker(dg, RankerOptions{})
+	if err != nil {
+		t.Fatalf("NewRanker: %v", err)
+	}
+	prev, err := LayeredDocRank(dg, cfg)
+	if err != nil {
+		t.Fatalf("initial: %v", err)
+	}
+	return rk, prev
+}
+
+// refreshOn rebuilds rk over dg for the changed sites and refreshes
+// prev's solution: changed sites re-solve warm, clean sites keep prev's
+// vectors.
+func refreshOn(t *testing.T, rk *Ranker, dg *graph.DocGraph, changed []graph.SiteID, prev *WebResult, cfg WebConfig) *WebResult {
+	t.Helper()
+	next, err := rk.RebuildOn(dg, changed)
+	if err != nil {
+		t.Fatalf("RebuildOn: %v", err)
+	}
+	cfg.SiteStart, cfg.LocalStarts = prev.SiteRank, prev.LocalRanks
+	res, err := next.RankRefresh(changed, cfg)
+	if err != nil {
+		t.Fatalf("RankRefresh: %v", err)
+	}
+	return res
+}
+
+func TestUpdateMatchesFullRecomputeAfterEdgeChange(t *testing.T) {
+	dg := churnWeb(t)
+	cfg := WebConfig{Tol: 1e-11}
+	rk, prev := churnStart(t, dg, cfg)
+
+	// Mutate site 2: add intra-site links between its first documents.
+	work := dg.CloneCOW()
+	docs := work.Sites[2].Docs
+	if len(docs) < 2 {
+		t.Skip("site 2 too small in this seed")
+	}
+	work.G.AddLink(int(docs[0]), int(docs[1]))
+	work.G.AddLink(int(docs[1]), int(docs[0]))
+
+	inc := refreshOn(t, rk, work, []graph.SiteID{2}, prev, cfg)
+	full, err := LayeredDocRank(work, cfg)
+	if err != nil {
+		t.Fatalf("full: %v", err)
+	}
+	if d := inc.DocRank.L1Diff(full.DocRank); d > 1e-8 {
+		t.Errorf("incremental vs full: L1 = %g", d)
+	}
+	if d := inc.SiteRank.L1Diff(full.SiteRank); d > 1e-8 {
+		t.Errorf("incremental vs full SiteRank: L1 = %g", d)
+	}
+}
+
+func TestUpdateReusesUnchangedLocalRanks(t *testing.T) {
+	dg := churnWeb(t)
+	cfg := WebConfig{Tol: 1e-11}
+	rk, prev := churnStart(t, dg, cfg)
+	work := dg.CloneCOW()
+	docs := work.Sites[2].Docs
+	if len(docs) < 2 {
+		t.Skip("site 2 too small")
+	}
+	work.G.AddLink(int(docs[0]), int(docs[1]))
+	inc := refreshOn(t, rk, work, []graph.SiteID{2}, prev, cfg)
+	for s := range inc.LocalRanks {
+		if s == 2 {
+			continue
+		}
+		// Reused slices, not merely equal values.
+		if &inc.LocalRanks[s][0] != &prev.LocalRanks[s][0] {
+			t.Errorf("site %d local rank was recomputed", s)
+		}
+		if inc.LocalIterations[s] != 0 {
+			t.Errorf("site %d recorded %d iterations for a reused rank", s, inc.LocalIterations[s])
+		}
+	}
+	if inc.LocalIterations[2] == 0 {
+		t.Error("changed site recorded no iterations")
+	}
+}
+
+func TestUpdateWarmStartConverges(t *testing.T) {
+	dg := churnWeb(t)
+	cfg := WebConfig{Tol: 1e-11}
+	rk, prev := churnStart(t, dg, cfg)
+	// No change at all: warm-started SiteRank should converge in far
+	// fewer iterations than the cold run.
+	inc := refreshOn(t, rk, dg.CloneCOW(), nil, prev, cfg)
+	if inc.SiteIterations >= prev.SiteIterations {
+		t.Errorf("warm SiteRank took %d iterations, cold %d", inc.SiteIterations, prev.SiteIterations)
+	}
+	if d := inc.DocRank.L1Diff(prev.DocRank); d > 1e-8 {
+		t.Errorf("no-op update changed the ranking: %g", d)
+	}
+}
+
+func TestUpdateHandlesNewSite(t *testing.T) {
+	dg := churnWeb(t)
+	cfg := WebConfig{Tol: 1e-11}
+	rk, prev := churnStart(t, dg, cfg)
+
+	// A new site joins (P2P churn) and links to site 0.
+	joined := rebuildWithNewSite(dg)
+	inc := refreshOn(t, rk, joined, nil, prev, cfg) // new site auto-changed
+	full, err := LayeredDocRank(joined, cfg)
+	if err != nil {
+		t.Fatalf("full: %v", err)
+	}
+	if d := inc.DocRank.L1Diff(full.DocRank); d > 1e-8 {
+		t.Errorf("incremental vs full after join: L1 = %g", d)
+	}
+}
+
+// rebuildWithNewSite reconstructs dg with one extra site appended. The
+// builder assigns new DocIDs after the existing ones, so earlier sites'
+// rosters keep their shape.
+func rebuildWithNewSite(dg *graph.DocGraph) *graph.DocGraph {
+	b := graph.NewBuilder()
+	for _, doc := range dg.Docs {
+		b.AddDocInSite(doc.URL, dg.Sites[doc.Site].Name)
+	}
+	dg.G.EachEdgeAll(func(from int, e graph.Edge) {
+		b.LinkIDs(graph.DocID(from), graph.DocID(e.To))
+	})
+	n1 := b.AddDocInSite("http://newpeer.example/", "newpeer.example")
+	n2 := b.AddDocInSite("http://newpeer.example/about", "newpeer.example")
+	b.LinkIDs(n1, n2)
+	b.LinkIDs(n2, n1)
+	first := dg.Sites[0].Docs[0]
+	b.LinkIDs(n1, first)
+	b.LinkIDs(first, n1)
+	return b.Build()
+}
+
+func TestUpdateStaleDetection(t *testing.T) {
+	dg := churnWeb(t)
+	cfg := WebConfig{Tol: 1e-10}
+	rk, prev := churnStart(t, dg, cfg)
+	// Grow site 1's roster but do not list it as changed.
+	grown := rebuildWithExtraDoc(dg, 1)
+	if _, err := rk.RebuildOn(grown, nil); !errors.Is(err, ErrStaleResult) {
+		t.Fatalf("err = %v, want ErrStaleResult", err)
+	}
+	// Listing it as changed succeeds and matches a full recompute.
+	inc := refreshOn(t, rk, grown, []graph.SiteID{1}, prev, cfg)
+	full, err := LayeredDocRank(grown, cfg)
+	if err != nil {
+		t.Fatalf("full: %v", err)
+	}
+	if d := inc.DocRank.L1Diff(full.DocRank); d > 1e-8 {
+		t.Errorf("incremental vs full: %g", d)
+	}
+}
+
+// rebuildWithExtraDoc reconstructs dg with one extra document in site s.
+func rebuildWithExtraDoc(dg *graph.DocGraph, s graph.SiteID) *graph.DocGraph {
+	b := graph.NewBuilder()
+	for _, doc := range dg.Docs {
+		b.AddDocInSite(doc.URL, dg.Sites[doc.Site].Name)
+	}
+	dg.G.EachEdgeAll(func(from int, e graph.Edge) {
+		b.LinkIDs(graph.DocID(from), graph.DocID(e.To))
+	})
+	extra := b.AddDocInSite(
+		fmt.Sprintf("http://%s/extra-page", dg.Sites[s].Name), dg.Sites[s].Name)
+	home := dg.Sites[s].Docs[0]
+	b.LinkIDs(extra, home)
+	b.LinkIDs(home, extra)
+	return b.Build()
+}
+
+func TestUpdateValidation(t *testing.T) {
+	dg := churnWeb(t)
+	cfg := WebConfig{}
+	rk, err := NewRanker(dg, RankerOptions{})
+	if err != nil {
+		t.Fatalf("NewRanker: %v", err)
+	}
+	for _, s := range []graph.SiteID{99, -1} {
+		if _, err := rk.RebuildOn(dg.CloneCOW(), []graph.SiteID{s}); err == nil {
+			t.Errorf("out-of-range changed site %d accepted", s)
+		}
+	}
+	// Without a previous solution the refresh is a cold solve of every
+	// site: bit-identical to Rank.
+	want, err := rk.Rank(cfg)
+	if err != nil {
+		t.Fatalf("Rank: %v", err)
+	}
+	wantDoc := want.DocRank.Clone()
+	got, err := rk.Share().RankRefresh(nil, cfg)
+	if err != nil {
+		t.Fatalf("RankRefresh: %v", err)
+	}
+	for d := range wantDoc {
+		if got.DocRank[d] != wantDoc[d] {
+			t.Fatalf("seedless refresh differs from Rank at doc %d: %g vs %g", d, got.DocRank[d], wantDoc[d])
+		}
 	}
 }

@@ -119,26 +119,6 @@ func composeDocRankInto(out matrix.Vector, dg *graph.DocGraph, siteWeights matri
 	}
 }
 
-// localDocRanks computes πD(s) for every site concurrently.
-func localDocRanks(dg *graph.DocGraph, cfg WebConfig) ([]matrix.Vector, []int, error) {
-	ns := dg.NumSites()
-	local := make([]matrix.Vector, ns)
-	iters := make([]int, ns)
-	errs := make([]error, ns)
-
-	ForEachParallel(ns, cfg.Parallelism, func(s int) {
-		local[s], iters[s], errs[s] = localDocRank(dg, graph.SiteID(s), cfg)
-	})
-
-	for s, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("lmm: local docrank of site %d (%s): %w",
-				s, dg.Sites[s].Name, err)
-		}
-	}
-	return local, iters, nil
-}
-
 // ForEachParallel runs fn(i) for every i in [0,n) across a capped
 // goroutine pool (workers <= 0 selects GOMAXPROCS). A single worker
 // runs inline: no goroutines, no channel, no allocations — the shape
@@ -223,41 +203,6 @@ func (e *SubgraphRankError) Error() string {
 
 // Unwrap exposes the underlying ranking failure for errors.Is/As.
 func (e *SubgraphRankError) Unwrap() error { return e.Err }
-
-// localDocRank computes one site's local DocRank (step 3 for one site).
-// Exported-shape logic shared by the in-process pipeline and the
-// distributed worker, which runs exactly this on its own peers.
-func localDocRank(dg *graph.DocGraph, s graph.SiteID, cfg WebConfig) (matrix.Vector, int, error) {
-	n := dg.SiteSize(s)
-	switch n {
-	case 0:
-		return matrix.Vector{}, 0, nil
-	case 1:
-		// A single-document site trivially holds all local mass.
-		return matrix.Vector{1}, 0, nil
-	}
-	sub, _ := dg.LocalSubgraph(s)
-	var pers matrix.Vector
-	if cfg.DocPersonalization != nil {
-		pers = cfg.DocPersonalization[s]
-	}
-	var start matrix.Vector
-	if int(s) < len(cfg.LocalStarts) && len(cfg.LocalStarts[s]) == n {
-		start = cfg.LocalStarts[s]
-	}
-	res, err := pagerank.Graph(sub, pagerank.Config{
-		Damping:         cfg.Damping,
-		Personalization: pers,
-		Tol:             cfg.Tol,
-		MaxIter:         cfg.MaxIter,
-		Start:           start,
-		Ctx:             cfg.Ctx,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Scores, res.Iterations, nil
-}
 
 // LocalDocRank computes the local DocRank of a single standalone site
 // subgraph, as a distributed worker does for the sites it hosts.

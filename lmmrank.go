@@ -388,14 +388,9 @@ func SyntheticCorpus(web *CampusWeb, seed int64) *SearchIndex {
 	return retrieval.SyntheticCorpus(web, seed)
 }
 
-// UpdateLayeredDocRank refreshes a previous layered ranking after the
-// listed sites changed — the P2P churn path: only changed sites' local
-// DocRanks are recomputed and the SiteRank is warm-started.
-func UpdateLayeredDocRank(dg *DocGraph, prev *WebResult, changed []SiteID, cfg WebConfig) (*WebResult, error) {
-	return lmm.UpdateLayeredDocRank(dg, prev, changed, cfg)
-}
-
-// ErrStaleResult marks incremental updates that need a full recompute.
+// ErrStaleResult marks an Update (or Ranker rebuild) whose ChangedSites
+// missed a site whose document roster changed: that site's precomputed
+// structure cannot be reused, so list it as changed.
 var ErrStaleResult = lmm.ErrStaleResult
 
 // ErrGraphMutated marks queries against an engine or Ranker whose
