@@ -9,14 +9,15 @@ SHELL := /bin/bash
 
 GO ?= go
 
-.PHONY: ci check fmt vet lint build test race race-multi chaos cover fuzz-smoke bench bench-smoke bench-gate docs
+.PHONY: ci check fmt vet lint build test race race-multi chaos cover fuzz-smoke bench bench-smoke bench-gate benchmark-smoke docs
 
 # The umbrella target CI calls: the fast gate, the race detector over
 # the concurrency-heavy packages (single- and multi-core), the
 # deterministic-seed fault sweep, the coverage floors, a bounded fuzz
 # smoke, a 1x smoke pass over every benchmark (so the E-series cannot
-# rot between bench sessions), and the benchmark regression gate.
-ci: check race race-multi chaos cover fuzz-smoke bench-smoke bench-gate
+# rot between bench sessions), the benchmark regression gate, and the
+# benchmark of record's own tests.
+ci: check race race-multi chaos cover fuzz-smoke bench-smoke bench-gate benchmark-smoke
 
 check: fmt vet lint build test docs
 
@@ -135,6 +136,15 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeGob$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzCloneCOW$$' -fuzztime $(FUZZTIME) -timeout 10m ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryFingerprint$$' -fuzztime $(FUZZTIME) -timeout 10m .
+
+# The benchmark of record (benchmark/, its own module built against this
+# checkout through a replace directive) is outside ./..., so nothing
+# above compiles it. Its tests check BENCHMARK.json against the metric
+# catalog and run every workload briefly, traced and untraced, so a
+# refactor that breaks the harness fails here rather than at the next
+# benchmark run.
+benchmark-smoke:
+	cd benchmark && $(GO) test -timeout 10m ./...
 
 # The benchmark regression gate: re-run the pinned serving-path
 # benchmarks and fail on a >30% ns/op or allocs/op regression against

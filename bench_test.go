@@ -591,6 +591,73 @@ func BenchmarkE14PersonalizedSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkE15DistEngineRank measures a DistEngine query over a
+// two-worker loopback fleet once the coordinator's memo holds every
+// site's local DocRank: "warm-uniform" and "warm-site-personalized"
+// answer a top-10 query from the memo (shard negotiation plus the site
+// layer), and "after-update" pays a 1-site Update and then the rank that
+// re-solves just that site on the fleet. wire-KiB/op is the rank's bytes
+// sent plus received.
+func BenchmarkE15DistEngineRank(b *testing.B) {
+	ctx := context.Background()
+	run := func(b *testing.B, dg *DocGraph, op func(eng *DistEngine, i int) (*Result, error)) {
+		cl, err := StartCluster(2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer cl.Close()
+		eng, err := NewDistEngine(cl, dg, DistConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Rank(ctx, Query{TopK: 10}); err != nil {
+			b.Fatal(err)
+		}
+		var wire uint64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := op(eng, i)
+			if err != nil {
+				b.Fatal(err)
+			}
+			wire += res.Dist.BytesSent + res.Dist.BytesReceived
+		}
+		b.ReportMetric(float64(wire)/1024/float64(b.N), "wire-KiB/op")
+	}
+	b.Run("warm-uniform", func(b *testing.B) {
+		run(b, benchWeb().Graph, func(eng *DistEngine, _ int) (*Result, error) {
+			return eng.Rank(ctx, Query{TopK: 10})
+		})
+	})
+	b.Run("warm-site-personalized", func(b *testing.B) {
+		dg := benchWeb().Graph
+		pers := make(Vector, dg.NumSites())
+		for i := range pers {
+			pers[i] = 1 + float64(i%7)
+		}
+		pers.Normalize()
+		run(b, dg, func(eng *DistEngine, _ int) (*Result, error) {
+			return eng.Rank(ctx, Query{TopK: 10, SitePersonalization: pers})
+		})
+	})
+	b.Run("after-update", func(b *testing.B) {
+		run(b, churnBenchWeb(2028).Graph, func(eng *DistEngine, i int) (*Result, error) {
+			err := eng.Update(ctx, GraphDelta{
+				ChangedSites: []SiteID{SiteID(i % 80)},
+				Apply: func(dg *DocGraph) error {
+					churnEdit(dg, i)
+					return nil
+				},
+			})
+			if err != nil {
+				return nil, err
+			}
+			return eng.Rank(ctx, Query{TopK: 10})
+		})
+	})
+}
+
 // BenchmarkTopDocs measures the top-10 selection over a composed
 // DocRank of the bench web: one O(N·log k) heap pass plus a sort of the
 // k survivors.

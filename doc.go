@@ -104,7 +104,8 @@
 //     vectors verbatim in the new snapshot's document layer;
 //     distributedly their shards (clean shards stay in the worker
 //     caches and are never re-shipped — Result.Dist.ShardsReused /
-//     ShardsReshipped account for it).
+//     ShardsReshipped account for it), and the next default-config
+//     query re-solves only their local DocRanks on the fleet.
 //   - An out-of-band mutation of the served graph is detected: queries
 //     fail with ErrGraphMutated, and since the engine cannot know which
 //     sites the edit touched, the next Update rebuilds every site —

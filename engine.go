@@ -92,10 +92,11 @@ type Result struct {
 	Top []DocScore
 	// SiteIterations and LocalIterations record the query's own
 	// power-method work: site-layer iterations (or distributed rounds)
-	// and per-site local iterations. On LocalEngine a default-config
-	// query reuses its snapshot's document layer, so every site it did
-	// not personalize reports 0 local iterations, as does the site layer
-	// of a uniform query.
+	// and per-site local iterations. A default-config query reuses the
+	// engine's document layer, so every site it did not personalize
+	// reports 0 local iterations — on LocalEngine the snapshot's layer,
+	// on DistEngine the sites the fleet already solved for this graph —
+	// and on LocalEngine so does the site layer of a uniform query.
 	SiteIterations  int
 	LocalIterations []int
 	// Dist carries the transport/cache statistics of a distributed
@@ -232,6 +233,21 @@ func (q Query) validate() error {
 	for site, v := range q.DocPersonalization {
 		if err := teleportable(v); err != nil {
 			return fmt.Errorf("%w: DocPersonalization[%d] %s", ErrUnsupportedQuery, site, err)
+		}
+	}
+	return nil
+}
+
+// validateSites rejects document-layer personalization keyed by a site
+// outside [0, numSites) of the graph the query is pinned to. The solvers
+// walk their own sites and look each one up in the map, so such a key
+// would never be read and the query would silently get the
+// unpersonalized answer.
+func (q Query) validateSites(numSites int) error {
+	for site := range q.DocPersonalization {
+		if site < 0 || int(site) >= numSites {
+			return fmt.Errorf("%w: DocPersonalization names site %d, but the graph has %d sites",
+				ErrUnsupportedQuery, site, numSites)
 		}
 	}
 	return nil
@@ -376,6 +392,9 @@ func (f *front[S, P]) Rank(ctx context.Context, q Query) (*Result, error) {
 	// is where staleness would otherwise surface.
 	if c.rk.Stale() {
 		return nil, ErrGraphMutated
+	}
+	if err := q.validateSites(c.dg.NumSites()); err != nil {
+		return nil, err
 	}
 	if f.coalesce {
 		if key, ok := q.fingerprint(f.coalesceTol); ok {
@@ -863,15 +882,27 @@ type distSnapshot struct {
 // LocalEngine replica next to the coordinator instead, or turn on
 // Coalesce so identical concurrent queries share one wire run.
 //
+// The coordinator's digest memo holds the engine's document layer: each
+// site's default-config local DocRank, solved on the fleet once per
+// shard version. A default-config query (zero Damping, Tol and MaxIter)
+// takes every memoized site as is — reporting 0 local iterations for
+// it, as on LocalEngine — so a warm query costs the shard negotiation
+// plus the site layer; queries with custom solver parameters solve
+// every site on the fleet.
+//
 // It shares LocalEngine's serving front — admission, coalescing, the
 // atomic snapshot and the Update path. Its rebuild rebuilds the changed
 // sites' structure and migrates the coordinator's digest memo, so the
 // next Rank re-hashes and, through the workers' digest caches, re-ships
 // only the changed shards: a 1-site edit on an N-site web moves ~1/N of
 // a cold load's bytes (Result.Dist.ShardsReused / ShardsReshipped
-// account for it per run). A Rank that started before an Update's swap
-// completes against its old Ranker, whose graph never mutated; the wire
-// itself still serializes at the coordinator.
+// account for it per run), and re-solves only the changed sites' local
+// DocRanks. Under the synchronous and asynchronous distributed SiteRank
+// modes the memo entry is dropped on Update instead (their shards embed
+// site-chain rows), so the first query after it re-solves every site.
+// A Rank that started before an Update's swap completes against its old
+// Ranker, whose graph never mutated; the wire itself still serializes
+// at the coordinator.
 type DistEngine struct {
 	front[distSnapshot, *distSnapshot]
 	coord        *coordinator.Coordinator

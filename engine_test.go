@@ -506,3 +506,33 @@ func TestQueryValidation(t *testing.T) {
 		})
 	}
 }
+
+// TestDocPersonalizationUnknownSite pins that document-layer
+// personalization keyed by a site outside the served graph is refused
+// with ErrUnsupportedQuery on every solve path — the document-layer
+// reuse path, the custom-parameter full solve and the three-layer model
+// — instead of being silently ignored.
+func TestDocPersonalizationUnknownSite(t *testing.T) {
+	web := churnTestWeb()
+	eng, err := NewLocalEngine(web.Graph, EngineOptions{})
+	if err != nil {
+		t.Fatalf("NewLocalEngine: %v", err)
+	}
+	beyond := map[SiteID]Vector{SiteID(web.Graph.NumSites() + 3): {1}}
+	cases := []struct {
+		name string
+		q    Query
+	}{
+		{"beyondRoster", Query{DocPersonalization: beyond}},
+		{"beyondRosterCustomTol", Query{DocPersonalization: beyond, Tol: 1e-9}},
+		{"beyondRosterThreeLayer", Query{DocPersonalization: beyond, ThreeLayer: true}},
+		{"negative", Query{DocPersonalization: map[SiteID]Vector{-1: {1}}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := eng.Rank(context.Background(), tc.q); !errors.Is(err, ErrUnsupportedQuery) {
+				t.Errorf("err = %v, want ErrUnsupportedQuery", err)
+			}
+		})
+	}
+}

@@ -332,8 +332,9 @@ func TestShardCacheSkipsReshipping(t *testing.T) {
 	if warm.Stats.ShardBytesSaved == 0 {
 		t.Error("warm run reports no shard bytes saved")
 	}
-	// The warm run still pays for offers, rank-locals and the SiteRank,
-	// but the shard payload — the dominant load cost — is gone.
+	// The warm run still pays for the offers and the SiteRank (its local
+	// DocRanks come from the coordinator's memo), but the shard payload —
+	// the dominant load cost — is gone.
 	if warm.Stats.BytesSent*3 >= cold.Stats.BytesSent {
 		t.Errorf("warm run sent %d bytes vs cold %d — cache hits should shrink traffic by > 3x",
 			warm.Stats.BytesSent, cold.Stats.BytesSent)

@@ -308,6 +308,13 @@ func (c Config) maxIter() int {
 	return c.MaxIter
 }
 
+// defaultSolve reports whether the run solves at the default damping,
+// tolerance and iteration budget — the parameters the digest memo's
+// local DocRanks are solved at, and so the runs that may reuse them.
+func (c Config) defaultSolve() bool {
+	return c.Damping == 0 && c.Tol == 0 && c.MaxIter == 0
+}
+
 func (c Config) batchRounds() int {
 	if c.BatchRounds < 1 {
 		return 1
@@ -347,7 +354,10 @@ func (m SiteRankMode) distributed() bool {
 type Stats struct {
 	// LoadDuration covers partitioning and shipping the site shards.
 	LoadDuration time.Duration
-	// LocalRankDuration covers the fleet-wide local DocRank phase.
+	// LocalRankDuration covers the fleet-wide local DocRank phase: only
+	// the sites the fleet solved this run, so a warm default-config
+	// RankPrepared run that takes every site from the digest memo reads
+	// ~0.
 	LocalRankDuration time.Duration
 	// SiteRankDuration covers the site-layer computation.
 	SiteRankDuration time.Duration
@@ -464,11 +474,14 @@ type Result struct {
 	SiteEntry    matrix.Vector
 	// LocalRanks holds each site's local DocRank in local-index order,
 	// exactly as the workers returned them (WebResult.LocalRanks'
-	// distributed twin).
+	// distributed twin) — this run, or, for sites a default-config
+	// RankPrepared run took from the digest memo, an earlier run over
+	// the same shard.
 	LocalRanks []matrix.Vector
 	// LocalIterations records each site's local power-method work as
 	// reported by its worker, matching WebResult.LocalIterations for
-	// the complexity experiments (E6).
+	// the complexity experiments (E6). Sites served from the digest memo
+	// did no work this run and report 0, as on LocalEngine.
 	LocalIterations []int
 	// Stats holds timing and transport cost of this run.
 	Stats Stats
@@ -623,8 +636,9 @@ type Coordinator struct {
 	runMu sync.Mutex
 
 	// prepMemo memoizes the wire payloads (shards, digests, sizes,
-	// chain) of recently prepared Rankers, so repeated RankPrepared runs
-	// skip rebuilding edge lists and re-hashing SHA-256 digests
+	// chain) and the default-config local DocRanks of recently prepared
+	// Rankers, so repeated RankPrepared runs skip rebuilding edge lists,
+	// re-hashing SHA-256 digests and re-solving unchanged sites
 	// entirely — including a coordinator alternating between several
 	// prepared graphs (one entry per (Ranker, protocol shape), LRU at
 	// the front, bounded by prepMemoCap). Guarded by runMu. A Ranker
@@ -650,6 +664,15 @@ const prepMemoCap = 4
 // built marks which sites' payloads are valid: unchanged sites carry
 // over, dirty slots are rebuilt (and re-hashed) by the next run's
 // buildShards.
+//
+// locals holds each site's default-config local DocRank as the fleet
+// last returned it (nil = not solved on this entry yet). By the
+// Partition Theorem a site's local DocRank depends only on its own
+// subgraph, and workers solve cold and deterministically, so a filled
+// slot is bitwise what a fresh fleet solve would return: default-config
+// memoized runs ask the fleet only for the empty slots. Vectors are
+// immutable once stored; RefreshPrepared carries clean sites' vectors
+// by pointer.
 type preparedShards struct {
 	rk        *lmm.Ranker
 	wantRows  bool
@@ -661,6 +684,7 @@ type preparedShards struct {
 	built    []bool
 	chain    *wire.SiteChain
 	chainRef wire.Digest
+	locals   []matrix.Vector
 }
 
 // complete reports whether every site payload (and the chain, when the
@@ -709,16 +733,19 @@ func (c *Coordinator) storePrep(p *preparedShards) {
 // RefreshPrepared migrates the digest memo across an incremental Ranker
 // rebuild (lmm.Ranker.Rebuild): every memo entry held for prev whose
 // shards do not embed site-chain rows is re-keyed to next with the
-// unchanged sites' payloads and digests carried over, so the next
-// RankPrepared run re-hashes only the changed shards — the
+// unchanged sites' payloads, digests and local DocRanks carried over,
+// so the next RankPrepared run re-hashes only the changed shards — the
 // coordinator-side half of delta shipping (the worker-side half is the
-// digest cache, which turns every unchanged shard into an Offer hit).
-// Entries for prev in the rows-in-shards shape (unbatched distributed
-// SiteRank) are dropped instead: their shard contents embed site-graph
-// rows, which a mutation elsewhere can change. changed lists the same
-// sites passed to Rebuild; sites appended beyond prev's roster are
-// implicitly changed. Entries for prev are removed either way — the old
-// Ranker is stale by contract.
+// digest cache, which turns every unchanged shard into an Offer hit) —
+// and, at the default solver parameters, asks the fleet to solve only
+// the changed sites. Entries for prev in the rows-in-shards shape
+// (synchronous and asynchronous distributed SiteRank) are dropped
+// instead, local DocRanks included: their shard contents embed
+// site-graph rows, which a mutation elsewhere can change, so the next
+// run there re-solves every site. changed lists the same sites passed
+// to Rebuild; sites appended beyond prev's roster are implicitly
+// changed. Entries for prev are removed either way — the old Ranker is
+// stale by contract.
 func (c *Coordinator) RefreshPrepared(prev, next *lmm.Ranker, changed []graph.SiteID) {
 	c.runMu.Lock()
 	defer c.runMu.Unlock()
@@ -746,6 +773,7 @@ func (c *Coordinator) RefreshPrepared(prev, next *lmm.Ranker, changed []graph.Si
 			refs:   make([]wire.ShardRef, ns),
 			sizes:  make([]int, ns),
 			built:  make([]bool, ns),
+			locals: make([]matrix.Vector, ns),
 			// chain stays nil: the site graph may have changed, and it
 			// is small — the next run rebuilds and re-hashes it.
 		}
@@ -757,6 +785,7 @@ func (c *Coordinator) RefreshPrepared(prev, next *lmm.Ranker, changed []graph.Si
 			m.refs[s] = p.refs[s]
 			m.sizes[s] = p.sizes[s]
 			m.built[s] = true
+			m.locals[s] = p.locals[s]
 		}
 		migrated = append(migrated, m)
 	}
@@ -941,6 +970,17 @@ func (c *Coordinator) RankCtx(ctx context.Context, dg *graph.DocGraph, cfg Confi
 // and since workers cache shards by content digest (and the coordinator
 // memoizes the digests per Ranker), a repeated run over an unchanged
 // graph ships (almost) no shard bytes and hashes none at all.
+//
+// At the default Damping, Tol and MaxIter the memo also keeps every
+// site's local DocRank as the fleet returned it, so a repeated run asks
+// the fleet to solve only the sites it has not solved for this Ranker —
+// none over an unchanged graph, the changed ones after Rebuild +
+// RefreshPrepared — and those runs cost the shard negotiation plus the
+// site layer. Workers solve cold and deterministically, so the answer is
+// bitwise the one a fresh fleet solve gives; memo-served sites report 0
+// LocalIterations. Runs with custom solver parameters neither read nor
+// fill the memo's local DocRanks.
+//
 // cfg.SiteGraph is ignored — that choice was fixed when the Ranker was
 // built. The Ranker must not be used concurrently by another goroutine
 // while a run is in flight.

@@ -32,6 +32,11 @@ type run struct {
 	// a one-shot Rank's throwaway Ranker can never hit again, and
 	// storing it would both pin the payloads and evict a warm memo.
 	memoize bool
+	// locals are the memo entry's local DocRank slots (see
+	// preparedShards.locals) when this run may read and fill them: a
+	// memoized run at the default damping, tolerance and budget. nil
+	// otherwise, and the fleet then solves every site.
+	locals []matrix.Vector
 	// tele is the normalized site-layer teleport (nil = uniform), shared
 	// by every SiteRank mode so central, unbatched and batched runs
 	// apply the same personalization vector.
@@ -251,6 +256,12 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 	// in-process pipeline.
 	res.SiteRank = siteRank
 	res.DocRank = lmm.ComposeDocRank(dg, siteRank, localRanks)
+	if r.locals != nil {
+		// The memo keeps its vectors; the caller gets copies.
+		for s, v := range localRanks {
+			localRanks[s] = v.Clone()
+		}
+	}
 	res.LocalRanks = localRanks
 	res.LocalIterations = localIters
 
@@ -271,20 +282,21 @@ func (c *Coordinator) rankPrepared(ctx context.Context, rk *lmm.Ranker, cfg Conf
 // The payloads are memoized on the Coordinator per (Ranker, protocol
 // shape), LRU-bounded across several prepared graphs: a warm
 // RankPrepared run reuses every edge list and SHA-256 digest instead of
-// recomputing them — Stats.DigestBytesHashed stays at zero — which is
-// sound because a Ranker's graph is immutable by contract (mutation is
-// detected and refused upstream). An entry migrated across an
-// incremental Rebuild by RefreshPrepared is partial: only its dirty
-// slots (and the small site chain) are rebuilt and re-hashed here, so
-// churn costs digest work proportional to what changed.
+// recomputing them — Stats.DigestBytesHashed stays at zero — and, at the
+// default solver parameters, every local DocRank the fleet already
+// returned; this is sound because a Ranker's graph is immutable by
+// contract (mutation is detected and refused upstream). An entry
+// migrated across an incremental Rebuild by RefreshPrepared is partial:
+// only its dirty slots (and the small site chain) are rebuilt and
+// re-hashed here, so churn costs digest work proportional to what
+// changed.
 func (r *run) buildShards() {
 	mode := r.cfg.mode()
 	wantRows := mode == SiteRankSync || mode == SiteRankAsync
 	withChain := mode == SiteRankBatched
 	p := r.c.lookupPrep(r.rk, wantRows, withChain)
 	if p != nil && p.complete() {
-		r.shards, r.refs, r.sizes = p.shards, p.refs, p.sizes
-		r.chain, r.chainRef = p.chain, p.chainRef
+		r.use(p)
 		return
 	}
 	if p == nil {
@@ -294,6 +306,7 @@ func (r *run) buildShards() {
 			refs:   make([]wire.ShardRef, r.ns),
 			sizes:  make([]int, r.ns),
 			built:  make([]bool, r.ns),
+			locals: make([]matrix.Vector, r.ns),
 		}
 	}
 
@@ -336,10 +349,19 @@ func (r *run) buildShards() {
 		p.chainRef = chain.ContentDigest()
 		r.stats.DigestBytesHashed += chain.DigestInputBytes()
 	}
-	r.shards, r.refs, r.sizes = p.shards, p.refs, p.sizes
-	r.chain, r.chainRef = p.chain, p.chainRef
+	r.use(p)
 	if r.memoize {
 		r.c.storePrep(p)
+	}
+}
+
+// use points the run at a memo entry's payloads, and at its local
+// DocRank slots when the run may reuse them.
+func (r *run) use(p *preparedShards) {
+	r.shards, r.refs, r.sizes = p.shards, p.refs, p.sizes
+	r.chain, r.chainRef = p.chain, p.chainRef
+	if r.memoize && r.cfg.defaultSolve() {
+		r.locals = p.locals
 	}
 }
 
@@ -870,11 +892,21 @@ func (r *run) packShards(req *wire.Request, full []wire.SiteShard) error {
 }
 
 // localPhase gathers every site's local DocRank from its owner,
-// re-ranking only reassigned sites when a worker dies mid-phase.
+// re-ranking only reassigned sites when a worker dies mid-phase. A run
+// with memo slots (r.locals) takes the filled ones as they are — those
+// sites report 0 iterations — asks the fleet only for the rest, and
+// fills their slots once every answer has checked out. The returned
+// vectors then alias the memo.
 func (r *run) localPhase(dg *graph.DocGraph) ([]matrix.Vector, []int, error) {
 	localRanks := make([]matrix.Vector, r.ns)
 	localIters := make([]int, r.ns)
 	done := make([]bool, r.ns)
+	for s, v := range r.locals {
+		if v != nil {
+			localRanks[s] = v
+			done[s] = true
+		}
+	}
 	for {
 		if err := r.ctx.Err(); err != nil {
 			return nil, nil, err
@@ -979,6 +1011,16 @@ func (r *run) localPhase(dg *graph.DocGraph) ([]matrix.Vector, []int, error) {
 		if len(localRanks[s]) != want {
 			return nil, nil, fmt.Errorf("coordinator: site %d local rank has %d entries, want %d",
 				s, len(localRanks[s]), want)
+		}
+	}
+	for s, v := range r.locals {
+		if v == nil {
+			if localRanks[s] == nil {
+				// An empty site's rank decodes as nil; keep it non-nil
+				// so the slot reads as filled.
+				localRanks[s] = matrix.Vector{}
+			}
+			r.locals[s] = localRanks[s]
 		}
 	}
 	return localRanks, localIters, nil
