@@ -149,9 +149,13 @@ benchmark-smoke:
 # The benchmark regression gate: re-run the pinned serving-path
 # benchmarks and fail on a >30% ns/op or allocs/op regression against
 # the latest recorded session in BENCH_pr2.json (see cmd/benchjson
-# -compare for the exact rules; pins default inside the tool).
+# -compare for the exact rules; pins default inside the tool). It runs
+# at GOMAXPROCS=1, the setting that baseline was recorded at: with more
+# procs E3's SpMV fans every multiply out over goroutines (556 vs 4
+# allocs/op on a 2-core host), and the gate would measure the core
+# count instead of the code.
 bench-gate:
-	$(GO) test -run '^$$' -benchmem -count=3 -timeout 20m \
+	GOMAXPROCS=1 $(GO) test -run '^$$' -benchmem -count=3 -timeout 20m \
 	    -bench '^BenchmarkE(3Fig3FlatPageRank|4Fig4LayeredDocRank|10UpdateUnderLoad|13TenantServing)$$' . \
 	    | $(GO) run ./cmd/benchjson -compare BENCH_pr2.json
 

@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // SiteGraphOptions controls SiteGraph derivation.
 type SiteGraphOptions struct {
@@ -31,18 +34,47 @@ func (sg *SiteGraph) NumSites() int { return len(sg.Names) }
 // DeriveSiteGraph aggregates a DocGraph at the Web-site level (§3.2 step
 // 2): for each document edge d→d' it adds one unit of weight (times the
 // edge multiplicity) to the site edge site(d)→site(d').
+//
+// It runs in one linear pass, row by row: site s's row sums the
+// adjacency rows of s's roster into a dense per-target accumulator and
+// sorts only the touched target sites. The cost is O(E) plus one sort
+// per row over its distinct targets, with O(NumSites) allocations; rows
+// come out sorted, merged and exactly sized, so the result is already
+// deduplicated. A row's weights sum in (document, edge) order: roster
+// order, then each document's adjacency order.
 func DeriveSiteGraph(dg *DocGraph, opts SiteGraphOptions) *SiteGraph {
 	ns := dg.NumSites()
 	g := NewDigraph(ns)
-	dg.G.EachEdgeAll(func(from int, e Edge) {
-		sFrom := dg.Docs[from].Site
-		sTo := dg.Docs[e.To].Site
-		if opts.DropSelfLoops && sFrom == sTo {
-			return
+	// Edge weights are always > 0, so acc[t] == 0 marks an untouched
+	// target; emitting a row resets exactly the entries it touched.
+	acc := make([]float64, ns)
+	touched := make([]int, 0, ns)
+	for s, site := range dg.Sites {
+		for _, d := range site.Docs {
+			for _, e := range dg.G.out[d] {
+				t := int(dg.Docs[e.To].Site)
+				if opts.DropSelfLoops && t == s {
+					continue
+				}
+				if acc[t] == 0 {
+					touched = append(touched, t)
+				}
+				acc[t] += e.Weight
+			}
 		}
-		g.AddEdge(int(sFrom), int(sTo), e.Weight)
-	})
-	g.Dedupe()
+		if len(touched) == 0 {
+			continue
+		}
+		slices.Sort(touched)
+		row := make([]Edge, len(touched))
+		for i, t := range touched {
+			row[i] = Edge{To: t, Weight: acc[t]}
+			acc[t] = 0
+		}
+		g.out[s] = row
+		touched = touched[:0]
+	}
+	g.deduped = true
 	names := make([]string, ns)
 	for s, site := range dg.Sites {
 		names[s] = site.Name

@@ -20,7 +20,12 @@ var ErrStaleResult = errors.New("lmm: previous result is stale")
 // local index and lazily built PageRank chain exactly valid — Rebuild
 // shares those by pointer with the old core and re-extracts (in
 // parallel) only the dirty ones. The small site layer is always
-// re-derived: any link change can shift the SiteLink aggregation.
+// re-derived: any link change can shift the SiteLink aggregation. The
+// derivation is one linear pass over the document edges
+// (graph.DeriveSiteGraph), and it stays a full pass rather than a
+// refresh of the changed sites' rows only: a cross-site link added from
+// a site missing from changed still reaches the site layer, where a
+// per-row refresh would serve a stale one.
 //
 // changed must list every site whose pages or links changed (including
 // links *from* its documents to other sites); sites appended beyond the
@@ -50,6 +55,8 @@ func (r *Ranker) Rebuild(changed []graph.SiteID) (*Ranker, error) {
 // contract is Rebuild's: every site whose pages or links differ between
 // the old core's build and dg must be listed (appended sites are
 // implicit), and an unlisted roster change fails with ErrStaleResult.
+// The site layer is re-derived in full from dg, in one linear pass, as
+// in Rebuild.
 func (r *Ranker) RebuildOn(dg *graph.DocGraph, changed []graph.SiteID) (*Ranker, error) {
 	old := r.core
 	if err := dg.Validate(); err != nil {

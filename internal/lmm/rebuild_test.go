@@ -3,6 +3,7 @@ package lmm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -167,7 +168,10 @@ func TestRebuildStaleDetection(t *testing.T) {
 	}
 }
 
-// TestRebuildHandlesNewSite: appended sites are implicitly changed.
+// TestRebuildHandlesNewSite: appended sites are implicitly changed. The
+// join also adds a first → n1 link leaving site 0, which is not listed:
+// it reaches the site layer only because Rebuild always re-derives that
+// layer in full.
 func TestRebuildHandlesNewSite(t *testing.T) {
 	dg := randomWeb(rand.New(rand.NewSource(95)), 6, 60)
 	rk, err := NewRanker(dg, RankerOptions{})
@@ -460,13 +464,7 @@ func TestUpdateHandlesNewSite(t *testing.T) {
 // builder assigns new DocIDs after the existing ones, so earlier sites'
 // rosters keep their shape.
 func rebuildWithNewSite(dg *graph.DocGraph) *graph.DocGraph {
-	b := graph.NewBuilder()
-	for _, doc := range dg.Docs {
-		b.AddDocInSite(doc.URL, dg.Sites[doc.Site].Name)
-	}
-	dg.G.EachEdgeAll(func(from int, e graph.Edge) {
-		b.LinkIDs(graph.DocID(from), graph.DocID(e.To))
-	})
+	b := copyIntoBuilder(dg)
 	n1 := b.AddDocInSite("http://newpeer.example/", "newpeer.example")
 	n2 := b.AddDocInSite("http://newpeer.example/about", "newpeer.example")
 	b.LinkIDs(n1, n2)
@@ -499,19 +497,33 @@ func TestUpdateStaleDetection(t *testing.T) {
 
 // rebuildWithExtraDoc reconstructs dg with one extra document in site s.
 func rebuildWithExtraDoc(dg *graph.DocGraph, s graph.SiteID) *graph.DocGraph {
-	b := graph.NewBuilder()
-	for _, doc := range dg.Docs {
-		b.AddDocInSite(doc.URL, dg.Sites[doc.Site].Name)
-	}
-	dg.G.EachEdgeAll(func(from int, e graph.Edge) {
-		b.LinkIDs(graph.DocID(from), graph.DocID(e.To))
-	})
+	b := copyIntoBuilder(dg)
 	extra := b.AddDocInSite(
 		fmt.Sprintf("http://%s/extra-page", dg.Sites[s].Name), dg.Sites[s].Name)
 	home := dg.Sites[s].Docs[0]
 	b.LinkIDs(extra, home)
 	b.LinkIDs(home, extra)
 	return b.Build()
+}
+
+// copyIntoBuilder registers every document of dg, in DocID order, in a
+// fresh Builder and copies every edge with its multiplicity: one LinkIDs
+// per unit of its (integer) weight, so a multi-edge keeps its weight and
+// the copy differs from dg only by what the caller adds next.
+func copyIntoBuilder(dg *graph.DocGraph) *graph.Builder {
+	b := graph.NewBuilder()
+	for _, doc := range dg.Docs {
+		b.AddDocInSite(doc.URL, dg.Sites[doc.Site].Name)
+	}
+	dg.G.EachEdgeAll(func(from int, e graph.Edge) {
+		if e.Weight != math.Trunc(e.Weight) {
+			panic(fmt.Sprintf("copyIntoBuilder: edge %d→%d has non-integer weight %g", from, e.To, e.Weight))
+		}
+		for k := 0; k < int(e.Weight); k++ {
+			b.LinkIDs(graph.DocID(from), graph.DocID(e.To))
+		}
+	})
+	return b
 }
 
 func TestUpdateValidation(t *testing.T) {
